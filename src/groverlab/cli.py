@@ -1,28 +1,26 @@
 """Deterministic command-line reports in CSV or JSON.
 
-Every command validates its arguments up front (argument errors exit with
-status 2), computes rows in a deterministic order, and emits them through a
-single writer.  Floats are printed in the shortest form that round-trips,
-so identical arguments always produce byte-identical output.
+Every command checks its arguments through the library (an invalid
+argument prints one ``Error:`` line and exits with status 2), computes its
+columns in one array pass, and emits them through a single writer.  Floats
+are printed in the shortest form that round-trips, so identical arguments
+always produce byte-identical output.
 """
 
+import contextlib
+import itertools
 import json
-import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import click
+import numpy as np
 
-from .complexity import (
-    MAX_SCAN_QUBITS,
-    MAX_TABLE_QUBITS,
-    scan_record,
-    table1_row,
-)
+from .complexity import speedup_entanglement_scan, table1
 from .entanglement import (
     bloch_vector,
     hs_distance,
     linear_entropy,
+    max_separable_epsilon,
     requires_entanglement,
     schmidt_product,
     separability_bound,
@@ -32,8 +30,9 @@ from .pseudopure import (
     direct_pseudo_variance,
     fluctuation_report,
     projector_deviation,
+    success_probability,
 )
-from .search import MAX_INSTANCE_QUBITS, closed_form_state, make_instance, rotation_angle
+from .search import closed_form_state, make_instance, rotation_angle
 
 FORMAT_CHOICE = click.Choice(["csv", "json"])
 
@@ -41,54 +40,65 @@ FORMAT_CHOICE = click.Choice(["csv", "json"])
 MAX_FLUCTUATION_QUBITS = 8
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+class _InvalidArgument(click.ClickException):
+    """One ``Error:`` line on stderr and exit status 2."""
+
+    exit_code = 2
 
 
-def _emit(records: list[dict], columns: list[str], fmt: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _library_checks():
+    """Report a library ``ValueError`` as an invalid argument."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _InvalidArgument(str(exc)) from None
+
+
+def _cells(values) -> list[str]:
+    """A column as CSV/JSON literals: true/false, integers, shortest-repr floats."""
+    values = np.asarray(values)
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    return list(map(repr, values.tolist()))
+
+
+def _emit(columns: dict, fmt: str, output: str | None) -> None:
+    """Write equal-length columns as CSV rows or a JSON list of records.
+
+    The JSON text is laid out exactly as ``json.dumps(records, indent=2)``
+    would lay out the (never empty) records; every emitted float is finite.
+    """
+    rows = zip(*map(_cells, columns.values()))
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_format_value(record[c]) for c in columns) for record in records)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
     else:
-        text = json.dumps(records, indent=2) + "\n"
+        keys = [f"    {json.dumps(name)}: " for name in columns]
+        records = ["  {\n" + ",\n".join(map(str.__add__, keys, row)) + "\n  }" for row in rows]
+        text = "[\n" + ",\n".join(records) + "\n]\n"
     if output is None:
         click.get_text_stream("stdout").write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    # A sibling file renamed into place: a failed write never leaves a partial output.
+    partial = f"{output}.{os.getpid()}.partial"
+    try:
+        try:
+            with open(partial, "x", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(partial, output)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
+    except OSError as exc:
+        raise _InvalidArgument(f"cannot write {output}: {exc.strerror}") from None
 
 
-def _map_ordered(fn, items, threads: int | None) -> list:
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise click.BadParameter("thread count must be >= 1", param_hint="--threads")
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _check_qubits(n: int, upper: int, hint: str) -> None:
-    if not 1 <= n <= upper:
-        raise click.BadParameter(f"qubit count must be in [1, {upper}], got {n}", param_hint=hint)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon <= 1.0:
-        raise click.BadParameter(
-            f"purity parameter must lie in [0, 1], got {epsilon}", param_hint="--epsilon"
-        )
-
-
-def _trace_span(instance) -> int:
-    return math.ceil(math.pi / (4.0 * instance.theta0))
+def _bound_columns(instance, k: np.ndarray) -> dict:
+    return {
+        "lambda_product": schmidt_product(instance, k),
+        "epsilon_bound": separability_bound(instance, k),
+        "epsilon_bound_cummin": max_separable_epsilon(instance, k),
+    }
 
 
 @click.group()
@@ -101,7 +111,6 @@ def cli() -> None:
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to file instead of stdout.")
-@click.option("--threads", type=int, default=None, help="Worker threads; defaults to available parallelism.")
 @click.option(
     "--include-final-test-query",
     type=bool,
@@ -109,32 +118,20 @@ def cli() -> None:
     show_default=True,
     help="Count the one outcome-testing function evaluation per repetition.",
 )
-def cmd_table1(min_qubits, max_qubits, fmt, output, threads, include_final_test_query) -> None:
+def cmd_table1(min_qubits, max_qubits, fmt, output, include_final_test_query) -> None:
     """Best separability-constrained query counts versus classical search."""
-    if not 1 <= min_qubits <= max_qubits <= MAX_TABLE_QUBITS:
-        raise click.BadParameter(
-            f"range must satisfy 1 <= min <= max <= {MAX_TABLE_QUBITS}, "
-            f"got [{min_qubits}, {max_qubits}]",
-            param_hint="--min-qubits/--max-qubits",
-        )
-    rows = _map_ordered(
-        lambda n: table1_row(n, include_test_query=include_final_test_query),
-        range(min_qubits, max_qubits + 1),
-        threads,
-    )
-    records = [
-        {
-            "n": row.n,
-            "N": row.N,
-            "k_opt": row.k_opt,
-            "n_pseudo_min": float(row.quantum_queries),
-            "n_class": float(row.classical_queries),
-            "epsilon_used": float(row.epsilon_used),
-            "speedup": row.speedup,
-        }
-        for row in rows
-    ]
-    _emit(records, ["n", "N", "k_opt", "n_pseudo_min", "n_class", "epsilon_used", "speedup"], fmt, output)
+    with _library_checks():
+        rows = table1(min_qubits, max_qubits, include_final_test_query)
+    columns = {
+        "n": [row.n for row in rows],
+        "N": [row.N for row in rows],
+        "k_opt": [row.k_opt for row in rows],
+        "n_pseudo_min": [row.quantum_queries for row in rows],
+        "n_class": [row.classical_queries for row in rows],
+        "epsilon_used": [row.epsilon_used for row in rows],
+        "speedup": [row.speedup for row in rows],
+    }
+    _emit(columns, fmt, output)
 
 
 @cli.command("trace")
@@ -149,63 +146,28 @@ def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
     All emitted quantities are independent of the target index; --target is
     validated and accepted to make that symmetry easy to exercise.
     """
-    _check_qubits(qubits, MAX_INSTANCE_QUBITS, "--qubits")
-    _check_epsilon(epsilon)
-    if target is None:
-        target = (1 << qubits) - 1
-    if not 0 <= target < (1 << qubits):
-        raise click.BadParameter(
-            f"target index must be in [0, {1 << qubits}), got {target}", param_hint="--target"
-        )
-    instance = make_instance(qubits, target)
-    records = []
-    running_bound = 1.0
-    for k in range(_trace_span(instance) + 1):
-        theta = rotation_angle(instance, k)
-        s = bloch_vector(instance, k)
-        s_norm = min(float(math.hypot(s[0], s[2])), 1.0)
-        bound = separability_bound(instance, k)
-        running_bound = min(running_bound, bound)
-        n_sin2 = instance.N * math.sin(theta) ** 2
-        records.append(
-            {
-                "k": k,
-                "theta_k": float(theta),
-                "s_x": float(s[0]),
-                "s_y": float(s[1]),
-                "s_z": float(s[2]),
-                "s_norm": s_norm,
-                "von_neumann_entropy": float(von_neumann_entropy(s_norm)),
-                "linear_entropy": float(linear_entropy(s_norm)),
-                "hs_distance": float(hs_distance(s_norm)),
-                "lambda_product": float(schmidt_product(instance, k)),
-                "epsilon_bound": float(bound),
-                "epsilon_bound_cummin": float(running_bound),
-                "success_probability": float((1.0 + epsilon * (n_sin2 - 1.0)) / instance.N),
-                "entangled": requires_entanglement(epsilon, bound),
-            }
-        )
-    _emit(
-        records,
-        [
-            "k",
-            "theta_k",
-            "s_x",
-            "s_y",
-            "s_z",
-            "s_norm",
-            "von_neumann_entropy",
-            "linear_entropy",
-            "hs_distance",
-            "lambda_product",
-            "epsilon_bound",
-            "epsilon_bound_cummin",
-            "success_probability",
-            "entangled",
-        ],
-        fmt,
-        output,
-    )
+    with _library_checks():
+        instance = make_instance(qubits, target)
+        k = np.arange(instance.completion_step + 1)
+        p = success_probability(instance, k, epsilon)
+    s_x, s_y, s_z = bloch_vector(instance, k)
+    s_norm = np.minimum(np.hypot(s_x, s_z), 1.0)
+    bounds = _bound_columns(instance, k)
+    columns = {
+        "k": k,
+        "theta_k": rotation_angle(instance, k),
+        "s_x": s_x,
+        "s_y": s_y,
+        "s_z": s_z,
+        "s_norm": s_norm,
+        "von_neumann_entropy": von_neumann_entropy(s_norm),
+        "linear_entropy": linear_entropy(s_norm),
+        "hs_distance": hs_distance(s_norm),
+        **bounds,
+        "success_probability": p,
+        "entangled": requires_entanglement(epsilon, bounds["epsilon_bound"]),
+    }
+    _emit(columns, fmt, output)
 
 
 @cli.command("bound")
@@ -214,23 +176,10 @@ def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def cmd_bound(qubits, fmt, output) -> None:
     """Separability bound per iteration with its running minimum."""
-    _check_qubits(qubits, MAX_INSTANCE_QUBITS, "--qubits")
-    instance = make_instance(qubits, (1 << qubits) - 1)
-    records = []
-    running_bound = 1.0
-    for k in range(_trace_span(instance) + 1):
-        bound = separability_bound(instance, k)
-        running_bound = min(running_bound, bound)
-        records.append(
-            {
-                "k": k,
-                "theta_k": float(rotation_angle(instance, k)),
-                "lambda_product": float(schmidt_product(instance, k)),
-                "epsilon_bound": float(bound),
-                "epsilon_bound_cummin": float(running_bound),
-            }
-        )
-    _emit(records, ["k", "theta_k", "lambda_product", "epsilon_bound", "epsilon_bound_cummin"], fmt, output)
+    with _library_checks():
+        instance = make_instance(qubits)
+    k = np.arange(instance.completion_step + 1)
+    _emit({"k": k, "theta_k": rotation_angle(instance, k), **_bound_columns(instance, k)}, fmt, output)
 
 
 @cli.command("scan")
@@ -238,49 +187,31 @@ def cmd_bound(qubits, fmt, output) -> None:
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count (<= 20).")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--threads", type=int, default=None, help="Worker threads; defaults to available parallelism.")
-def cmd_scan(min_qubits, max_qubits, fmt, output, threads) -> None:
+def cmd_scan(min_qubits, max_qubits, fmt, output) -> None:
     """Speed-up purity threshold versus per-step separability bounds.
 
     Emits one row per (n, iteration) pair; a summary verdict goes to
     standard error so the payload stays machine-readable.
     """
-    if not 2 < min_qubits <= max_qubits <= MAX_SCAN_QUBITS:
-        raise click.BadParameter(
-            f"range must satisfy 2 < min <= max <= {MAX_SCAN_QUBITS}, "
-            f"got [{min_qubits}, {max_qubits}]",
-            param_hint="--min-qubits/--max-qubits",
-        )
-    scans = _map_ordered(scan_record, range(min_qubits, max_qubits + 1), threads)
-    records = [
-        {
-            "n": rec.n,
-            "k_opt": rec.k_opt,
-            "k": k,
-            "epsilon_bound": float(bound),
-            "epsilon_speedup": float(rec.epsilon_speedup),
-            "entangled_at_k": entangled,
-            "entangled_throughout": rec.entangled_throughout,
-            "last_step_exception": rec.last_step_exception,
-        }
-        for rec in scans
-        for (k, bound, entangled) in rec.iterations
-    ]
-    _emit(
-        records,
-        [
-            "n",
-            "k_opt",
-            "k",
-            "epsilon_bound",
-            "epsilon_speedup",
-            "entangled_at_k",
-            "entangled_throughout",
-            "last_step_exception",
-        ],
-        fmt,
-        output,
-    )
+    with _library_checks():
+        scans = speedup_entanglement_scan(min_qubits, max_qubits)
+    k, bound, entangled = zip(*itertools.chain.from_iterable(rec.iterations for rec in scans))
+    counts = [len(rec.iterations) for rec in scans]
+
+    def per_n(attr):
+        return np.repeat([getattr(rec, attr) for rec in scans], counts)
+
+    columns = {
+        "n": per_n("n"),
+        "k_opt": per_n("k_opt"),
+        "k": k,
+        "epsilon_bound": bound,
+        "epsilon_speedup": per_n("epsilon_speedup"),
+        "entangled_at_k": entangled,
+        "entangled_throughout": per_n("entangled_throughout"),
+        "last_step_exception": per_n("last_step_exception"),
+    }
+    _emit(columns, fmt, output)
     holds = all(rec.entangled_throughout for rec in scans)
     exceptions = [rec.n for rec in scans if rec.last_step_exception]
     if holds:
@@ -307,40 +238,26 @@ def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
     numbers depend only on N and eps.  Reports the closed-form ensemble
     variance next to the direct dense-matrix value.
     """
-    _check_qubits(qubits, MAX_FLUCTUATION_QUBITS, "--qubits")
-    _check_epsilon(epsilon)
-    instance = make_instance(qubits, (1 << qubits) - 1)
-    psi = closed_form_state(instance, 0).statevector()
-    theta_op = projector_deviation(psi)
-    report = fluctuation_report(theta_op, psi, epsilon)
+    if qubits > MAX_FLUCTUATION_QUBITS:
+        raise _InvalidArgument(f"qubit count must be at most {MAX_FLUCTUATION_QUBITS}, got {qubits}")
+    with _library_checks():
+        instance = make_instance(qubits)
+        psi = closed_form_state(instance, 0).statevector()
+        theta_op = projector_deviation(psi)
+        report = fluctuation_report(theta_op, psi, epsilon)
     direct = direct_pseudo_variance(theta_op, psi, epsilon)
-    record = {
-        "n": instance.n,
-        "N": instance.N,
-        "epsilon": float(report.epsilon),
-        "pure_expectation": float(report.pure_expectation),
-        "pure_variance": float(report.pure_variance),
-        "trace_theta_sq_over_N": float(report.trace_theta_sq_over_N),
-        "pseudo_variance": float(report.pseudo_variance),
-        "direct_variance": float(direct),
-        "abs_difference": float(abs(report.pseudo_variance - direct)),
+    columns = {
+        "n": [instance.n],
+        "N": [instance.N],
+        "epsilon": [report.epsilon],
+        "pure_expectation": [report.pure_expectation],
+        "pure_variance": [report.pure_variance],
+        "trace_theta_sq_over_N": [report.trace_theta_sq_over_N],
+        "pseudo_variance": [report.pseudo_variance],
+        "direct_variance": [direct],
+        "abs_difference": [abs(report.pseudo_variance - direct)],
     }
-    _emit(
-        [record],
-        [
-            "n",
-            "N",
-            "epsilon",
-            "pure_expectation",
-            "pure_variance",
-            "trace_theta_sq_over_N",
-            "pseudo_variance",
-            "direct_variance",
-            "abs_difference",
-        ],
-        fmt,
-        output,
-    )
+    _emit(columns, fmt, output)
 
 
 def main() -> None:

@@ -9,7 +9,9 @@ so the expected cost of the strategy with k iterations is (k+1)/p(k).
 import math
 from dataclasses import dataclass
 
-from .entanglement import requires_entanglement, separability_bound, separability_profile
+import numpy as np
+
+from .entanglement import max_separable_epsilon, requires_entanglement, separability_bound
 from .pseudopure import success_probability
 from .search import SearchInstance, make_instance, rotation_angle
 
@@ -31,7 +33,7 @@ def classical_queries(N: int) -> float:
 def k_search_limit(instance: SearchInstance) -> int:
     """Iteration range guard: past the first pi/2 crossing the expected
     cost only grows, so a margin of 2 beyond ceil(pi/(4*theta0)) suffices."""
-    return math.ceil(math.pi / (4.0 * instance.theta0)) + 2
+    return instance.completion_step + 2
 
 
 def pseudo_queries(
@@ -51,20 +53,10 @@ def pseudo_queries(
         k_max = k_search_limit(instance)
     if k_max < 0:
         raise ValueError(f"iteration bound must be non-negative, got {k_max}")
-    best_k, best_q = 0, math.inf
-    for k in range(k_max + 1):
-        q = (k + 1) / success_probability(instance, k, epsilon)
-        if q < best_q:
-            best_k, best_q = k, q
-    if not include_test_query:
-        best_q -= 1.0
-    return best_k, best_q
-
-
-def max_separable_epsilon(instance: SearchInstance, k: int) -> float:
-    """Largest purity compatible with separability at every step 0..k."""
-    profile = separability_profile(instance, k)
-    return profile.cumulative_min[-1][1]
+    k = np.arange(k_max + 1)
+    q = (k + 1) / success_probability(instance, k, epsilon)
+    best = int(np.argmin(q))
+    return best, float(q[best]) - (0.0 if include_test_query else 1.0)
 
 
 @dataclass(frozen=True)
@@ -87,25 +79,20 @@ def table1_row(n: int, include_test_query: bool = True) -> ComplexityRow:
     bound, so the machine stays unproven-entangled through every step it
     executes.
     """
-    instance = make_instance(n, (1 << n) - 1)
+    instance = make_instance(n)
     n_class = classical_queries(instance.N)
-    running_bound = 1.0
-    best = None
-    for k in range(k_search_limit(instance) + 1):
-        running_bound = min(running_bound, separability_bound(instance, k))
-        q = (k + 1) / success_probability(instance, k, running_bound)
-        if best is None or q < best[1]:
-            best = (k, q, running_bound)
-    k_opt, quantum, eps_used = best
-    if not include_test_query:
-        quantum -= 1.0
+    k = np.arange(k_search_limit(instance) + 1)
+    eps = max_separable_epsilon(instance, k)
+    q = (k + 1) / success_probability(instance, k, eps)
+    k_opt = int(np.argmin(q))
+    quantum = float(q[k_opt]) - (0.0 if include_test_query else 1.0)
     return ComplexityRow(
         n=n,
         N=instance.N,
         k_opt=k_opt,
         quantum_queries=quantum,
         classical_queries=n_class,
-        epsilon_used=eps_used,
+        epsilon_used=float(eps[k_opt]),
         speedup=quantum < n_class,
     )
 
@@ -132,16 +119,15 @@ def epsilon_speedup(instance: SearchInstance, k_max: int | None = None) -> tuple
     if k_max is None:
         k_max = k_search_limit(instance)
     N = instance.N
-    n_class = classical_queries(N)
-    best = None
-    for k in range(1, k_max + 1):
-        gain = N * math.sin(rotation_angle(instance, k)) ** 2 - 1.0
-        if gain <= 0.0:
-            continue
-        threshold = (N * (k + 1) / n_class - 1.0) / gain
-        if 0.0 < threshold <= 1.0 and (best is None or threshold < best[1]):
-            best = (k, threshold)
-    return best
+    k = np.arange(1, k_max + 1)
+    gain = N * np.sin(rotation_angle(instance, k)) ** 2 - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        threshold = (N * (k + 1) / classical_queries(N) - 1.0) / gain
+    valid = (gain > 0.0) & (threshold > 0.0) & (threshold <= 1.0)
+    if not valid.any():
+        return None
+    best = int(np.argmin(np.where(valid, threshold, np.inf)))
+    return int(k[best]), float(threshold[best])
 
 
 @dataclass(frozen=True)
@@ -163,29 +149,23 @@ class SpeedupScanRecord:
 
 def scan_record(n: int) -> SpeedupScanRecord:
     """Compare the speed-up threshold against every step's bound."""
-    instance = make_instance(n, (1 << n) - 1)
+    instance = make_instance(n)
     found = epsilon_speedup(instance)
     if found is None:
         raise RuntimeError(f"no speed-up purity exists at n = {n}; scan is undefined")
     k_opt, eps_su = found
-    iterations = []
-    violations = []
-    for k in range(1, k_opt + 1):
-        bound = separability_bound(instance, k)
-        entangled = requires_entanglement(eps_su, bound)
-        iterations.append((k, bound, entangled))
-        if not entangled:
-            violations.append(k)
+    k = np.arange(1, k_opt + 1)
+    bounds = separability_bound(instance, k)
+    entangled = requires_entanglement(eps_su, bounds)
+    # Only the final step may escape, and only once the rotation is past pi/2.
     past_half_turn = rotation_angle(instance, k_opt) > math.pi / 2.0
-    last_step_exception = past_half_turn and k_opt in violations
-    allowed = {k_opt} if last_step_exception else set()
     return SpeedupScanRecord(
         n=n,
         k_opt=k_opt,
         epsilon_speedup=eps_su,
-        iterations=tuple(iterations),
-        entangled_throughout=set(violations) <= allowed,
-        last_step_exception=last_step_exception,
+        iterations=tuple(zip(k.tolist(), bounds.tolist(), entangled.tolist())),
+        entangled_throughout=bool(entangled[:-1].all() and (entangled[-1] or past_half_turn)),
+        last_step_exception=bool(past_half_turn and not entangled[-1]),
     )
 
 

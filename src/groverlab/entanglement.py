@@ -24,25 +24,27 @@ BLOCH_SLACK = 1e-12
 BOUND_DECISION_TOL = 1e-12
 
 
-def _checked_bloch_length(s: float) -> float:
-    if not -BLOCH_SLACK <= s <= 1.0 + BLOCH_SLACK:
+def _checked_bloch_length(s):
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= -BLOCH_SLACK) & (s <= 1.0 + BLOCH_SLACK)):
         raise ValueError(f"Bloch length must lie in [0, 1], got {s}")
-    return min(max(s, 0.0), 1.0)
+    return np.clip(s, 0.0, 1.0)
 
 
-def bloch_components(N: int, theta: float) -> np.ndarray:
+def bloch_components(N: int, theta) -> np.ndarray:
     """Bloch vector (s_x, 0, s_z) of one qubit of the rotated search state.
 
     Valid for any rotation angle; independent of which qubit is kept and of
-    the target index, in the target frame.
+    the target index, in the target frame.  An array of angles gives an
+    array of shape (3, *theta.shape).
     """
-    c2 = math.cos(theta) ** 2
-    s_x = (N - 2) / (N - 1) * c2 + math.sin(2 * theta) / math.sqrt(N - 1)
-    s_z = c2 / (N - 1) - math.sin(theta) ** 2
-    return np.array([s_x, 0.0, s_z])
+    c2 = np.cos(theta) ** 2
+    s_x = (N - 2) / (N - 1) * c2 + np.sin(2 * theta) / math.sqrt(N - 1)
+    s_z = c2 / (N - 1) - np.sin(theta) ** 2
+    return np.array([s_x, np.zeros_like(s_x), s_z])
 
 
-def bloch_vector(instance: SearchInstance, k: int) -> np.ndarray:
+def bloch_vector(instance: SearchInstance, k) -> np.ndarray:
     """Closed-form Bloch vector after k search iterations."""
     return bloch_components(instance.N, rotation_angle(instance, k))
 
@@ -60,36 +62,34 @@ def target_frame_bloch(reduced: QubitReducedState, instance: SearchInstance, ell
     return s
 
 
-def von_neumann_entropy(s: float) -> float:
+def von_neumann_entropy(s):
     """Entropy in bits of a qubit state with Bloch length s.
 
     1 for the maximally mixed state (s = 0), 0 for a pure state (s = 1);
     equals the binary entropy of (1 + s)/2.
     """
     s = _checked_bloch_length(s)
-    if s >= 1.0:
-        return 0.0
-    if s <= 0.0:
-        return 1.0
-    return 1.0 - 0.5 * (1 - s) * math.log2(1 - s) - 0.5 * (1 + s) * math.log2(1 + s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = 1.0 - 0.5 * (1 - s) * np.log2(1 - s) - 0.5 * (1 + s) * np.log2(1 + s)
+    # Rounding can carry h an ulp past either end of [0, 1].
+    return np.where(s < 1.0, np.clip(h, 0.0, 1.0), 0.0)[()]
 
 
-def linear_entropy(s: float) -> float:
+def linear_entropy(s):
     """Linear entropy (1 - s^2)/2 of a qubit state with Bloch length s."""
     s = _checked_bloch_length(s)
     return (1.0 - s * s) / 2.0
 
 
-def hs_distance(s: float) -> float:
+def hs_distance(s):
     """Hilbert-Schmidt distance s/sqrt(2) from the maximally mixed state.
 
     Satisfies d^2 = 1/2 - linear_entropy(s).
     """
-    s = _checked_bloch_length(s)
-    return s / math.sqrt(2.0)
+    return _checked_bloch_length(s) / math.sqrt(2.0)
 
 
-def schmidt_product(instance: SearchInstance, k: int) -> float:
+def schmidt_product(instance: SearchInstance, k):
     """Eigenvalue product lambda1*lambda2 of the one-qubit reduced state.
 
     Closed form N(N-2)/(2(N-1)^2) * sin^2(2k*theta0) * cos^2(theta_k);
@@ -100,23 +100,35 @@ def schmidt_product(instance: SearchInstance, k: int) -> float:
     theta = rotation_angle(instance, k)
     return (
         N * (N - 2) / (2.0 * (N - 1) ** 2)
-        * math.sin(2 * k * instance.theta0) ** 2
-        * math.cos(theta) ** 2
+        * np.sin(2 * k * instance.theta0) ** 2
+        * np.cos(theta) ** 2
     )
 
 
-def separability_bound(instance: SearchInstance, k: int) -> float:
+def separability_bound(instance: SearchInstance, k):
     """Largest purity parameter not proven entangled after k iterations.
 
     Returns eps_k = 1 / (1 + N*sqrt(lambda1*lambda2)).  A mixed-ensemble
     state with purity above eps_k is certainly entangled at step k; at or
     below the bound it is not proven entangled by this criterion.
     """
-    product = max(schmidt_product(instance, k), 0.0)
-    return 1.0 / (1.0 + instance.N * math.sqrt(product))
+    product = np.maximum(schmidt_product(instance, k), 0.0)
+    return 1.0 / (1.0 + instance.N * np.sqrt(product))
 
 
-def requires_entanglement(epsilon: float, bound: float) -> bool:
+def max_separable_epsilon(instance: SearchInstance, k):
+    """Largest purity compatible with separability at every step 0..k.
+
+    The running minimum of :func:`separability_bound`.
+    """
+    k = np.asarray(k)
+    if np.any(k < 0):
+        raise ValueError(f"iteration bound must be non-negative, got {k.min()}")
+    bounds = separability_bound(instance, np.arange(k.max(initial=0) + 1))
+    return np.minimum.accumulate(bounds)[k]
+
+
+def requires_entanglement(epsilon, bound):
     """Whether purity ``epsilon`` exceeds a separability bound decisively.
 
     Uses a 1e-12 guard so bounds that are 1 up to rounding do not flag
@@ -141,17 +153,11 @@ def separability_profile(instance: SearchInstance, k_max: int) -> SeparabilityPr
     """
     if k_max < 0:
         raise ValueError(f"iteration bound must be non-negative, got {k_max}")
-    bounds = []
-    cumulative = []
-    running = 1.0
-    for k in range(k_max + 1):
-        eps_k = separability_bound(instance, k)
-        running = min(running, eps_k)
-        bounds.append((k, eps_k))
-        cumulative.append((k, running))
+    k = np.arange(k_max + 1)
+    k_list = k.tolist()
     return SeparabilityProfile(
-        per_iteration_bounds=tuple(bounds),
-        cumulative_min=tuple(cumulative),
+        per_iteration_bounds=tuple(zip(k_list, separability_bound(instance, k).tolist())),
+        cumulative_min=tuple(zip(k_list, max_separable_epsilon(instance, k).tolist())),
     )
 
 

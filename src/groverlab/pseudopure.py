@@ -6,7 +6,6 @@ values and fluctuations of traceless observables on such states relate to
 their pure-state counterparts.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,11 @@ MAX_DENSE_DIMENSION = 256
 TRACE_ATOL = 1e-10
 
 
-def _check_epsilon(epsilon: float) -> float:
-    if not 0.0 <= epsilon <= 1.0:
+def _check_epsilon(epsilon):
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError(f"purity parameter must lie in [0, 1], got {epsilon}")
-    return float(epsilon)
+    return eps if eps.ndim else float(eps)
 
 
 def _check_observable(theta_op, psi):
@@ -85,16 +85,17 @@ def make_ensemble(
     )
 
 
-def success_probability(instance: SearchInstance, k: int, epsilon: float) -> float:
+def success_probability(instance: SearchInstance, k, epsilon):
     """Probability of measuring the target after k iterations at purity eps.
 
     p(k) = [1 + eps*(N sin^2(theta_k) - 1)] / N, the target-diagonal entry
     of the ensemble density matrix.  Reduces to 1/N at eps = 0 and to the
-    pure-state probability sin^2(theta_k) at eps = 1.
+    pure-state probability sin^2(theta_k) at eps = 1.  ``k`` and ``epsilon``
+    may be arrays; they broadcast against each other.
     """
     epsilon = _check_epsilon(epsilon)
     N = instance.N
-    s2 = math.sin(rotation_angle(instance, k)) ** 2
+    s2 = np.sin(rotation_angle(instance, k)) ** 2
     return (1.0 + epsilon * (N * s2 - 1.0)) / N
 
 
@@ -122,14 +123,7 @@ def pseudo_variance(theta_op, psi, epsilon: float) -> float:
     Closed form eps*Var_pure + (1-eps)*(tr(Theta^2)/N + eps*<Theta>_pure^2);
     agrees with :func:`direct_pseudo_variance` to machine precision.
     """
-    epsilon = _check_epsilon(epsilon)
-    op, v = _check_observable(theta_op, psi)
-    N = op.shape[0]
-    mean = pure_expectation(op, v)
-    second = pure_expectation(op @ op, v)
-    var_pure = second - mean**2
-    tr_sq = float(np.trace(op @ op).real)
-    return epsilon * var_pure + (1.0 - epsilon) * (tr_sq / N + epsilon * mean**2)
+    return fluctuation_report(theta_op, psi, epsilon).pseudo_variance
 
 
 def direct_pseudo_variance(theta_op, psi, epsilon: float) -> float:
@@ -194,14 +188,14 @@ def fluctuation_report(theta_op, psi, epsilon: float) -> FluctuationReport:
     """Collect the quantities entering the ensemble-variance identity."""
     epsilon = _check_epsilon(epsilon)
     op, v = _check_observable(theta_op, psi)
-    N = op.shape[0]
+    op_sq = op @ op
     mean = pure_expectation(op, v)
-    second = pure_expectation(op @ op, v)
-    tr_sq = float(np.trace(op @ op).real)
+    var_pure = pure_expectation(op_sq, v) - mean**2
+    tr_sq_over_n = float(np.trace(op_sq).real) / op.shape[0]
     return FluctuationReport(
         epsilon=epsilon,
         pure_expectation=mean,
-        pure_variance=second - mean**2,
-        trace_theta_sq_over_N=tr_sq / N,
-        pseudo_variance=pseudo_variance(op, v, epsilon),
+        pure_variance=var_pure,
+        trace_theta_sq_over_N=tr_sq_over_n,
+        pseudo_variance=epsilon * var_pure + (1.0 - epsilon) * (tr_sq_over_n + epsilon * mean**2),
     )

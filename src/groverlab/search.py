@@ -10,7 +10,8 @@ implemented search operator never leaves the real span of the basis states.
 """
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,27 +43,50 @@ class SearchInstance:
     y: int
     theta0: float
 
+    @property
+    def completion_step(self) -> int:
+        """First iteration count ceil(pi/(4*theta0)) whose angle reaches pi/2."""
+        return math.ceil(math.pi / (4.0 * self.theta0))
 
-def make_instance(n: int, y: int) -> SearchInstance:
+
+def _as_int(value) -> int | None:
+    """``value`` as a plain int if it is an integer other than a bool."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def make_instance(n: int, y: int | None = None) -> SearchInstance:
     """Validate (n, y) and build a :class:`SearchInstance`.
+
+    Any integer type is accepted (``bool`` is not); ``y`` defaults to the
+    last index 2**n - 1.
 
     Raises
     ------
     ValueError
         If n is outside [1, 30] or y outside [0, 2**n).
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_INSTANCE_QUBITS:
+    n_int = _as_int(n)
+    if n_int is None or not 1 <= n_int <= MAX_INSTANCE_QUBITS:
         raise ValueError(f"qubit count must be an integer in [1, {MAX_INSTANCE_QUBITS}], got {n}")
-    N = 1 << n
-    if not isinstance(y, int) or not 0 <= y < N:
-        raise ValueError(f"target index must be in [0, {N}), got {y}")
-    return SearchInstance(n=n, N=N, y=y, theta0=math.asin(1.0 / math.sqrt(N)))
+    N = 1 << n_int
+    y_int = N - 1 if y is None else _as_int(y)
+    if y_int is None or not 0 <= y_int < N:
+        raise ValueError(f"target index must be an integer in [0, {N}), got {y}")
+    return SearchInstance(n=n_int, N=N, y=y_int, theta0=math.asin(1.0 / math.sqrt(N)))
 
 
-def rotation_angle(instance: SearchInstance, k: int) -> float:
-    """Angle theta_k = (2k+1) * theta0 of the state after k search steps."""
-    if k < 0:
-        raise ValueError(f"iteration count must be non-negative, got {k}")
+def rotation_angle(instance: SearchInstance, k):
+    """Angle theta_k = (2k+1) * theta0 after k search steps.
+
+    ``k`` is an iteration count or an array of them; the result has its shape.
+    """
+    if np.any(np.asarray(k) < 0):
+        raise ValueError(f"iteration count must be non-negative, got {np.min(k)}")
     return (2 * k + 1) * instance.theta0
 
 
@@ -79,7 +103,6 @@ class PureSearchState:
     theta_k: float
     off_target_amp: float
     target_amp: float
-    amplitudes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def success_probability(self) -> float:
@@ -88,38 +111,21 @@ class PureSearchState:
 
     def statevector(self) -> np.ndarray:
         """Materialize the length-N amplitude vector (target entry at y)."""
-        if self.amplitudes is not None:
-            return self.amplitudes
         v = np.full(self.instance.N, self.off_target_amp)
         v[self.instance.y] = self.target_amp
         return v
 
 
-def closed_form_state(instance: SearchInstance, k: int, materialize: bool = False) -> PureSearchState:
-    """Evaluate the search state after k iterations without simulating.
-
-    Parameters
-    ----------
-    instance : SearchInstance
-    k : int
-        Iteration count, k >= 0.
-    materialize : bool
-        When True, also store the full length-N amplitude vector.
-    """
+def closed_form_state(instance: SearchInstance, k: int) -> PureSearchState:
+    """Evaluate the search state after k >= 0 iterations without simulating."""
     theta = rotation_angle(instance, k)
-    off = math.cos(theta) / math.sqrt(instance.N - 1)
-    state = PureSearchState(
+    return PureSearchState(
         instance=instance,
         k=k,
         theta_k=theta,
-        off_target_amp=off,
+        off_target_amp=math.cos(theta) / math.sqrt(instance.N - 1),
         target_amp=math.sin(theta),
     )
-    if materialize:
-        if instance.n > MAX_SIMULATOR_QUBITS:
-            raise ValueError(f"cannot materialize amplitudes beyond n = {MAX_SIMULATOR_QUBITS}")
-        object.__setattr__(state, "amplitudes", state.statevector())
-    return state
 
 
 def _check_normalized(amplitudes: np.ndarray) -> np.ndarray:

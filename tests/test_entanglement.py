@@ -10,6 +10,7 @@ from groverlab import (
     hs_distance,
     linear_entropy,
     make_instance,
+    max_separable_epsilon,
     partial_trace_single_qubit,
     projected_singlet_fraction,
     requires_entanglement,
@@ -68,6 +69,10 @@ class TestEntropies:
         h = -0.8 * math.log2(0.8) - 0.2 * math.log2(0.2)
         assert von_neumann_entropy(0.6) == pytest.approx(h, abs=1e-12)
         assert von_neumann_entropy(0.6) == pytest.approx(0.7219280948873623, abs=1e-12)
+
+    def test_von_neumann_stays_in_unit_interval_near_mixed(self):
+        # the unclamped formula rounds to 1.0000000000000002 here
+        assert von_neumann_entropy(7.252484842447126e-16) == 1.0
 
     def test_linear_entropy_values(self):
         assert linear_entropy(1.0) == 0.0
@@ -155,6 +160,43 @@ class TestSeparabilityBound:
         bound = separability_bound(inst, 1)  # 1 up to rounding
         assert not requires_entanglement(1.0, bound)
         assert requires_entanglement(0.5, separability_bound(make_instance(3, 0), 1))
+
+
+class TestArrayArguments:
+    """Each per-step quantity takes an array of k or s and works element-wise."""
+
+    K = np.arange(40)
+
+    @pytest.mark.parametrize(
+        "fn", [bloch_vector, schmidt_product, separability_bound, max_separable_epsilon]
+    )
+    def test_iteration_array_matches_scalar_calls(self, fn):
+        inst = make_instance(9, 100)
+        together = fn(inst, self.K)
+        one_by_one = np.stack([fn(inst, int(k)) for k in self.K], axis=-1)
+        np.testing.assert_array_max_ulp(together, one_by_one, maxulp=2)
+
+    @pytest.mark.parametrize("fn", [bloch_vector, schmidt_product, separability_bound, max_separable_epsilon])
+    def test_negative_iteration_in_array_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(make_instance(5), np.array([2, -1, 3]))
+
+    def test_running_minimum(self):
+        inst = make_instance(7)
+        bounds = separability_bound(inst, self.K)
+        expected = [min(bounds[: k + 1]) for k in self.K]
+        assert max_separable_epsilon(inst, self.K).tolist() == expected
+
+    @pytest.mark.parametrize("fn", [von_neumann_entropy, linear_entropy, hs_distance])
+    def test_bloch_length_array(self, fn):
+        s = np.linspace(0.0, 1.0, 17)
+        np.testing.assert_array_max_ulp(fn(s), np.array([fn(float(x)) for x in s]), maxulp=2)
+        with pytest.raises(ValueError):
+            fn(np.array([0.2, 1.5, 0.3]))
+
+    def test_requires_entanglement_array(self):
+        bounds = np.array([0.1, 0.5, 0.5 - 1e-13, 0.9])
+        assert requires_entanglement(0.5, bounds).tolist() == [True, False, False, False]
 
 
 class TestProjectedSingletFraction:

@@ -26,6 +26,17 @@ def random_pure_state(dim, rng):
 
 
 class TestSuccessProbability:
+    def test_arrays_broadcast_element_wise(self):
+        inst = make_instance(6, 3)
+        k = np.arange(10)
+        eps = np.linspace(0.0, 1.0, 10)
+        together = success_probability(inst, k, eps)
+        one_by_one = [success_probability(inst, int(j), float(e)) for j, e in zip(k, eps)]
+        np.testing.assert_array_max_ulp(together, np.array(one_by_one), maxulp=2)
+        assert success_probability(inst, k, 0.0).tolist() == [1 / 64] * 10
+        with pytest.raises(ValueError):
+            success_probability(inst, k, np.array([0.5] * 9 + [1.5]))
+
     def test_fully_mixed_is_uniform_guessing(self):
         for n, k in [(1, 0), (3, 2), (6, 5)]:
             inst = make_instance(n, 0)

@@ -47,6 +47,25 @@ class TestMakeInstance:
         with pytest.raises(ValueError):
             make_instance(n, y)
 
+    def test_accepts_any_integer_type(self):
+        inst = make_instance(np.int64(3), np.uint8(5))
+        assert inst == make_instance(3, 5)
+        assert type(inst.n) is int and type(inst.y) is int
+
+    @pytest.mark.parametrize("n,y", [(True, 0), (3, False), (3.0, 0), (3, 5.0), ("3", 0)])
+    def test_rejects_bools_and_non_integers(self, n, y):
+        with pytest.raises(ValueError):
+            make_instance(n, y)
+
+    def test_target_defaults_to_last_index(self):
+        assert make_instance(4).y == 15
+
+    def test_completion_step(self):
+        for n in range(1, 31):
+            inst = make_instance(n)
+            assert inst.completion_step == pure_span(inst)
+            assert (2 * inst.completion_step + 1) * inst.theta0 >= math.pi / 2
+
 
 class TestClosedFormState:
     def test_completes_exactly_at_four_items(self):
@@ -66,6 +85,13 @@ class TestClosedFormState:
         sim = simulate_statevector(make_instance(3, 0), 2)
         assert sim[0] ** 2 == pytest.approx(state.success_probability, abs=1e-12)
 
+    def test_angle_of_an_iteration_array(self):
+        inst = make_instance(6, 9)
+        k = np.arange(12)
+        assert rotation_angle(inst, k).tolist() == [rotation_angle(inst, int(j)) for j in k]
+        with pytest.raises(ValueError):
+            rotation_angle(inst, np.array([0, 3, -1]))
+
     def test_angle_recurrence(self):
         inst = make_instance(4, 9)
         for k in range(10):
@@ -80,9 +106,9 @@ class TestClosedFormState:
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_materialized_amplitudes(self):
-        state = closed_form_state(make_instance(3, 5), 1, materialize=True)
-        v = state.amplitudes
-        assert v is not None
+        state = closed_form_state(make_instance(3, 5), 1)
+        v = state.statevector()
+        assert v.shape == (8,)
         assert v[5] == pytest.approx(state.target_amp, abs=1e-10)
         mask = np.arange(8) != 5
         assert np.allclose(v[mask], state.off_target_amp, atol=1e-10)
