@@ -90,7 +90,7 @@ def _emit(columns: dict, fmt: str, output: str | None) -> None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(partial)
     except OSError as exc:
-        raise _InvalidArgument(f"cannot write {output}: {exc.strerror}") from None
+        raise _InvalidArgument(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _bound_columns(instance, k: np.ndarray) -> dict:
