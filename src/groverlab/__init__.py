@@ -19,7 +19,6 @@ from .complexity import (
     table1_row,
 )
 from .entanglement import (
-    SeparabilityProfile,
     bloch_components,
     bloch_vector,
     hs_distance,
@@ -29,22 +28,17 @@ from .entanglement import (
     requires_entanglement,
     schmidt_product,
     separability_bound,
-    separability_profile,
     target_frame_bloch,
     von_neumann_entropy,
 )
 from .pseudopure import (
     FluctuationReport,
-    PseudoPureEnsemble,
     direct_pseudo_variance,
     fluctuation_report,
-    make_ensemble,
     projector_deviation,
     projector_deviation_variance,
-    pseudo_variance,
     random_traceless_hermitian,
     success_probability,
-    traceless_expectation_scaling,
 )
 from .search import (
     PureSearchState,
@@ -63,11 +57,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplexityRow",
     "FluctuationReport",
-    "PseudoPureEnsemble",
     "PureSearchState",
     "QubitReducedState",
     "SearchInstance",
-    "SeparabilityProfile",
     "SpeedupScanRecord",
     "apply_grover_step",
     "bloch_components",
@@ -80,7 +72,6 @@ __all__ = [
     "hs_distance",
     "k_search_limit",
     "linear_entropy",
-    "make_ensemble",
     "make_instance",
     "max_separable_epsilon",
     "partial_trace_single_qubit",
@@ -88,20 +79,17 @@ __all__ = [
     "projector_deviation",
     "projector_deviation_variance",
     "pseudo_queries",
-    "pseudo_variance",
     "random_traceless_hermitian",
     "requires_entanglement",
     "rotation_angle",
     "scan_record",
     "schmidt_product",
     "separability_bound",
-    "separability_profile",
     "simulate_statevector",
     "speedup_entanglement_scan",
     "success_probability",
     "table1",
     "table1_row",
     "target_frame_bloch",
-    "traceless_expectation_scaling",
     "von_neumann_entropy",
 ]

@@ -13,9 +13,8 @@ import numpy as np
 
 from .entanglement import max_separable_epsilon, requires_entanglement, separability_bound
 from .pseudopure import success_probability
-from .search import SearchInstance, make_instance, rotation_angle
+from .search import MAX_INSTANCE_QUBITS, SearchInstance, _as_int, make_instance, rotation_angle
 
-MAX_TABLE_QUBITS = 30
 MAX_SCAN_QUBITS = 20
 
 
@@ -23,11 +22,13 @@ def classical_queries(N: int) -> float:
     """Expected function evaluations of the systematic classical search.
 
     Stepping through locations in a fixed order and inferring the last one
-    gives expectation (N+2)(N-1)/(2N) over a uniformly placed target.
+    gives expectation (N+2)(N-1)/(2N) over a uniformly placed target.  Any
+    integer type is accepted (``bool`` is not).
     """
-    if not isinstance(N, int) or N < 2:
+    N_int = _as_int(N)
+    if N_int is None or N_int < 2:
         raise ValueError(f"search-space size must be an integer >= 2, got {N}")
-    return (N + 2) * (N - 1) / (2.0 * N)
+    return (N_int + 2) * (N_int - 1) / (2.0 * N_int)
 
 
 def k_search_limit(instance: SearchInstance) -> int:
@@ -36,24 +37,16 @@ def k_search_limit(instance: SearchInstance) -> int:
     return instance.completion_step + 2
 
 
-def pseudo_queries(
-    instance: SearchInstance,
-    epsilon: float,
-    k_max: int | None = None,
-    include_test_query: bool = True,
-) -> tuple[int, float]:
-    """Optimal iteration count and expected query count at fixed purity.
+def pseudo_queries(instance: SearchInstance, epsilon, include_test_query: bool = True) -> tuple[int, float]:
+    """Optimal iteration count and expected query count at given purities.
 
-    Minimizes (k+1)/p(k, eps) over k in [0, k_max]; ties go to the smaller
-    k.  With ``include_test_query`` False the one outcome-testing
-    evaluation is dropped from the count (the optimum k is unchanged).
-    eps = 0 is allowed (pure guessing at p = 1/N).
+    Minimizes (k+1)/p(k, eps) over k in [0, k_search_limit(instance)]; ties
+    go to the smaller k.  ``epsilon`` is one purity for every k or an array
+    of one purity per k.  With ``include_test_query`` False the one
+    outcome-testing evaluation is dropped from the count (the optimum k is
+    unchanged).  eps = 0 is allowed (pure guessing at p = 1/N).
     """
-    if k_max is None:
-        k_max = k_search_limit(instance)
-    if k_max < 0:
-        raise ValueError(f"iteration bound must be non-negative, got {k_max}")
-    k = np.arange(k_max + 1)
+    k = np.arange(k_search_limit(instance) + 1)
     q = (k + 1) / success_probability(instance, k, epsilon)
     best = int(np.argmin(q))
     return best, float(q[best]) - (0.0 if include_test_query else 1.0)
@@ -81,11 +74,8 @@ def table1_row(n: int, include_test_query: bool = True) -> ComplexityRow:
     """
     instance = make_instance(n)
     n_class = classical_queries(instance.N)
-    k = np.arange(k_search_limit(instance) + 1)
-    eps = max_separable_epsilon(instance, k)
-    q = (k + 1) / success_probability(instance, k, eps)
-    k_opt = int(np.argmin(q))
-    quantum = float(q[k_opt]) - (0.0 if include_test_query else 1.0)
+    eps = max_separable_epsilon(instance, np.arange(k_search_limit(instance) + 1))
+    k_opt, quantum = pseudo_queries(instance, eps, include_test_query)
     return ComplexityRow(
         n=n,
         N=instance.N,
@@ -99,27 +89,26 @@ def table1_row(n: int, include_test_query: bool = True) -> ComplexityRow:
 
 def table1(n_min: int, n_max: int, include_test_query: bool = True) -> list[ComplexityRow]:
     """Rows for every qubit count in [n_min, n_max]."""
-    if not 1 <= n_min <= n_max <= MAX_TABLE_QUBITS:
+    if not 1 <= n_min <= n_max <= MAX_INSTANCE_QUBITS:
         raise ValueError(
-            f"qubit range must satisfy 1 <= n_min <= n_max <= {MAX_TABLE_QUBITS}, "
+            f"qubit range must satisfy 1 <= n_min <= n_max <= {MAX_INSTANCE_QUBITS}, "
             f"got [{n_min}, {n_max}]"
         )
     return [table1_row(n, include_test_query) for n in range(n_min, n_max + 1)]
 
 
-def epsilon_speedup(instance: SearchInstance, k_max: int | None = None) -> tuple[int, float] | None:
+def epsilon_speedup(instance: SearchInstance) -> tuple[int, float] | None:
     """Smallest purity at which the ensemble machine beats classical search.
 
     The success probability is affine in the purity, so for each k the
-    break-even purity is in closed form; the returned pair is the k
-    attaining the smallest such threshold and that threshold.  Returns
+    break-even purity is in closed form; the returned pair is the k in
+    [1, k_search_limit(instance)] attaining the smallest such threshold and
+    that threshold.  Returns
     None when no purity <= 1 achieves a speed-up (e.g. a single qubit).
     Strictly above the threshold the machine is faster; at it, equal.
     """
-    if k_max is None:
-        k_max = k_search_limit(instance)
     N = instance.N
-    k = np.arange(1, k_max + 1)
+    k = np.arange(1, k_search_limit(instance) + 1)
     gain = N * np.sin(rotation_angle(instance, k)) ** 2 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         threshold = (N * (k + 1) / classical_queries(N) - 1.0) / gain

@@ -11,7 +11,6 @@ into that frame for comparison.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,30 +134,6 @@ def requires_entanglement(epsilon, bound):
     exact-completion steps.
     """
     return epsilon > bound + BOUND_DECISION_TOL
-
-
-@dataclass(frozen=True)
-class SeparabilityProfile:
-    """Per-iteration separability bounds with their running minimum."""
-
-    per_iteration_bounds: tuple[tuple[int, float], ...]
-    cumulative_min: tuple[tuple[int, float], ...]
-
-
-def separability_profile(instance: SearchInstance, k_max: int) -> SeparabilityProfile:
-    """Bounds eps_k for k = 0..k_max and the running minimum over steps.
-
-    The running minimum at k is the largest purity compatible with
-    separability at every step up to and including k.
-    """
-    if k_max < 0:
-        raise ValueError(f"iteration bound must be non-negative, got {k_max}")
-    k = np.arange(k_max + 1)
-    k_list = k.tolist()
-    return SeparabilityProfile(
-        per_iteration_bounds=tuple(zip(k_list, separability_bound(instance, k).tolist())),
-        cumulative_min=tuple(zip(k_list, max_separable_epsilon(instance, k).tolist())),
-    )
 
 
 def projected_singlet_fraction(lambda1: float, lambda2: float, N: int, epsilon: float) -> float:

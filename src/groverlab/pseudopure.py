@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import PureSearchState, SearchInstance, closed_form_state, rotation_angle
-
-# Above this purity the ensemble description is a stretch physically; the
-# math still goes through, so computations proceed with a warning flag.
-DEFAULT_VALIDITY_THRESHOLD = 0.1
-
-MAX_DENSE_DIMENSION = 256
+from .search import SearchInstance, rotation_angle
 
 TRACE_ATOL = 1e-10
 
@@ -44,47 +38,6 @@ def _check_observable(theta_op, psi):
     return op, v
 
 
-@dataclass(frozen=True)
-class PseudoPureEnsemble:
-    """Ensemble state (1-eps)/N * I + eps |psi_k><psi_k| after k iterations.
-
-    ``validity_warning`` is set when eps exceeds the threshold past which
-    the low-polarization ensemble picture stops being physical; all
-    computations still proceed.
-    """
-
-    epsilon: float
-    pure_part: PureSearchState
-    N: int
-    validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD
-
-    @property
-    def validity_warning(self) -> bool:
-        return self.epsilon > self.validity_threshold
-
-    def density_matrix(self) -> np.ndarray:
-        """Materialize the dense N x N matrix (guarded to N <= 256)."""
-        if self.N > MAX_DENSE_DIMENSION:
-            raise ValueError(f"dense materialization is limited to N <= {MAX_DENSE_DIMENSION}")
-        psi = self.pure_part.statevector()
-        return (1.0 - self.epsilon) / self.N * np.eye(self.N) + self.epsilon * np.outer(psi, psi)
-
-
-def make_ensemble(
-    instance: SearchInstance,
-    k: int,
-    epsilon: float,
-    validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD,
-) -> PseudoPureEnsemble:
-    """Ensemble whose pure part is the search state after k iterations."""
-    return PseudoPureEnsemble(
-        epsilon=_check_epsilon(epsilon),
-        pure_part=closed_form_state(instance, k),
-        N=instance.N,
-        validity_threshold=validity_threshold,
-    )
-
-
 def success_probability(instance: SearchInstance, k, epsilon):
     """Probability of measuring the target after k iterations at purity eps.
 
@@ -106,31 +59,11 @@ def pure_expectation(theta_op, psi) -> float:
     return float((v.conj() @ op @ v).real)
 
 
-def traceless_expectation_scaling(theta_op, psi, epsilon: float) -> float:
-    """Ensemble expectation of a traceless observable: eps * <Theta>_pure.
-
-    The identity part of the ensemble contributes nothing to a traceless
-    observable, so the pure expectation is only rescaled.
-    """
-    epsilon = _check_epsilon(epsilon)
-    op, v = _check_observable(theta_op, psi)
-    return epsilon * pure_expectation(op, v)
-
-
-def pseudo_variance(theta_op, psi, epsilon: float) -> float:
-    """Variance of a traceless observable on the mixed-ensemble state.
-
-    Closed form eps*Var_pure + (1-eps)*(tr(Theta^2)/N + eps*<Theta>_pure^2);
-    agrees with :func:`direct_pseudo_variance` to machine precision.
-    """
-    return fluctuation_report(theta_op, psi, epsilon).pseudo_variance
-
-
 def direct_pseudo_variance(theta_op, psi, epsilon: float) -> float:
     """Variance tr(rho Theta^2) - tr(rho Theta)^2 by explicit matrices.
 
     Builds the ensemble density matrix densely; this is the independent
-    arbiter for :func:`pseudo_variance`.
+    arbiter for the closed form in :func:`fluctuation_report`.
     """
     epsilon = _check_epsilon(epsilon)
     op, v = _check_observable(theta_op, psi)
@@ -185,7 +118,12 @@ class FluctuationReport:
 
 
 def fluctuation_report(theta_op, psi, epsilon: float) -> FluctuationReport:
-    """Collect the quantities entering the ensemble-variance identity."""
+    """Collect the quantities entering the ensemble-variance identity.
+
+    On the ensemble a traceless observable has expectation eps*<Theta>_pure
+    and variance eps*Var_pure + (1-eps)*(tr(Theta^2)/N + eps*<Theta>_pure^2),
+    which :func:`direct_pseudo_variance` checks by explicit matrices.
+    """
     epsilon = _check_epsilon(epsilon)
     op, v = _check_observable(theta_op, psi)
     op_sq = op @ op

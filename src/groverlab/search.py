@@ -45,8 +45,10 @@ class SearchInstance:
 
     @property
     def completion_step(self) -> int:
-        """First iteration count ceil(pi/(4*theta0)) whose angle reaches pi/2."""
-        return math.ceil(math.pi / (4.0 * self.theta0))
+        """First k whose rotation beyond the start, 2k*theta0, reaches pi/2: ceil(pi/(4*theta0))."""
+        # At n = 1, asin(1/sqrt(2)) rounds below pi/4, which puts the ratio
+        # just above 1.  For 2 <= n <= 30 no ratio lies within 0.009 of an integer.
+        return math.ceil(math.pi / (4.0 * self.theta0) - 1e-9)
 
 
 def _as_int(value) -> int | None:
@@ -103,11 +105,6 @@ class PureSearchState:
     theta_k: float
     off_target_amp: float
     target_amp: float
-
-    @property
-    def success_probability(self) -> float:
-        """Probability sin^2(theta_k) of measuring the target."""
-        return self.target_amp**2
 
     def statevector(self) -> np.ndarray:
         """Materialize the length-N amplitude vector (target entry at y)."""

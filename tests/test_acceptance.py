@@ -19,13 +19,13 @@ from groverlab import (
     classical_queries,
     direct_pseudo_variance,
     epsilon_speedup,
+    fluctuation_report,
     hs_distance,
     linear_entropy,
     make_instance,
     partial_trace_single_qubit,
     projector_deviation,
     projector_deviation_variance,
-    pseudo_variance,
     random_traceless_hermitian,
     scan_record,
     separability_bound,
@@ -147,12 +147,12 @@ def test_criterion_6_fluctuation_identity():
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi /= np.linalg.norm(psi)
             epsilon = float(rng.uniform())
-            closed = pseudo_variance(theta, psi, epsilon)
+            closed = fluctuation_report(theta, psi, epsilon).pseudo_variance
             direct = direct_pseudo_variance(theta, psi, epsilon)
             worst = max(worst, abs(closed - direct))
     assert worst <= 1e-10
     psi4 = np.full(4, 0.5)
-    assert pseudo_variance(projector_deviation(psi4), psi4, 0.5) == pytest.approx(
+    assert fluctuation_report(projector_deviation(psi4), psi4, 0.5).pseudo_variance == pytest.approx(
         0.234375, abs=1e-12
     )
     assert projector_deviation_variance(4, 0.5) == pytest.approx(0.234375, abs=1e-14)

@@ -43,7 +43,7 @@ def enumerated_classical_expectation(N):
 
 
 class TestClassicalQueries:
-    @pytest.mark.parametrize("N,expected", [(2, 1.0), (4, 2.25), (8, 4.375)])
+    @pytest.mark.parametrize("N,expected", [(2, 1.0), (4, 2.25), (8, 4.375), (np.int64(8), 4.375)])
     def test_fixed_values(self, N, expected):
         assert classical_queries(N) == pytest.approx(expected, abs=1e-15)
 
@@ -58,7 +58,7 @@ class TestClassicalQueries:
         values = [classical_queries(N) for N in range(2, 200)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("N", [1, 0, -4])
+    @pytest.mark.parametrize("N", [1, 0, -4, True])
     def test_rejects_small_sizes(self, N):
         with pytest.raises(ValueError):
             classical_queries(N)
@@ -91,6 +91,16 @@ class TestPseudoQueries:
     def test_rejects_epsilon_outside_unit_interval(self, epsilon):
         with pytest.raises(ValueError):
             pseudo_queries(make_instance(3, 0), epsilon)
+
+    def test_one_purity_per_k(self):
+        inst = make_instance(4, 0)
+        k = np.arange(k_search_limit(inst) + 1)
+        eps = np.linspace(1.0, 0.2, k.size)
+        costs = [(j + 1) / success_probability(inst, j, e) for j, e in zip(k.tolist(), eps)]
+        k_opt, queries = pseudo_queries(inst, eps)
+        assert k_opt == costs.index(min(costs))
+        assert queries == pytest.approx(min(costs), rel=1e-15)
+        assert pseudo_queries(inst, np.full(k.size, 0.6)) == pseudo_queries(inst, 0.6)
 
     def test_excluding_test_query_shifts_count_only(self):
         inst = make_instance(2, 3)

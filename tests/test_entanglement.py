@@ -16,7 +16,6 @@ from groverlab import (
     requires_entanglement,
     schmidt_product,
     separability_bound,
-    separability_profile,
     simulate_statevector,
     target_frame_bloch,
     von_neumann_entropy,
@@ -127,22 +126,21 @@ class TestSeparabilityBound:
         assert separability_bound(make_instance(2, 0), 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_profile_eight_items(self):
-        profile = separability_profile(make_instance(3, 0), 1)
-        cum = [value for _, value in profile.cumulative_min]
+        cum = max_separable_epsilon(make_instance(3, 0), np.arange(2))
         assert cum[0] == 1.0
         assert cum[1] == pytest.approx(EPS1_N3, abs=1e-9)
 
     def test_profile_four_items(self):
-        profile = separability_profile(make_instance(2, 0), 1)
-        assert [value for _, value in profile.cumulative_min] == pytest.approx([1.0, 1.0], abs=1e-12)
+        cum = max_separable_epsilon(make_instance(2, 0), np.arange(2))
+        assert cum.tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_profile_sixteen_items(self):
         # per-step bounds cross-checked by diagonalizing the traced matrix
         inst = make_instance(4, 15)
-        profile = separability_profile(inst, 2)
-        bounds = [value for _, value in profile.per_iteration_bounds]
+        k = np.arange(3)
+        bounds = separability_bound(inst, k)
         assert bounds[1] < bounds[2]
-        assert profile.cumulative_min[-1][1] == pytest.approx(0.20126284519300922, abs=1e-9)
+        assert max_separable_epsilon(inst, k)[-1] == pytest.approx(0.20126284519300922, abs=1e-9)
         for k in (1, 2):
             reduced = partial_trace_single_qubit(simulate_statevector(inst, k), 2)
             eigs = np.linalg.eigvalsh(reduced.matrix)
@@ -150,10 +148,11 @@ class TestSeparabilityBound:
             assert bounds[k] == pytest.approx(via_diag, abs=1e-9)
 
     def test_cumulative_min_non_increasing(self):
-        profile = separability_profile(make_instance(6, 0), 15)
-        cum = [value for _, value in profile.cumulative_min]
+        inst = make_instance(6, 0)
+        k = np.arange(16)
+        cum = max_separable_epsilon(inst, k).tolist()
         assert all(b <= a for a, b in zip(cum, cum[1:]))
-        assert all(0.0 < value <= 1.0 for _, value in profile.per_iteration_bounds)
+        assert all(0.0 < value <= 1.0 for value in separability_bound(inst, k))
 
     def test_requires_entanglement_guard(self):
         inst = make_instance(2, 3)

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from groverlab import (
+    closed_form_state,
     direct_pseudo_variance,
     fluctuation_report,
-    make_ensemble,
     make_instance,
     projector_deviation,
     projector_deviation_variance,
-    pseudo_variance,
     random_traceless_hermitian,
     rotation_angle,
     success_probability,
-    traceless_expectation_scaling,
 )
 
 EPS1_N3 = 1.0 / (1.0 + math.sqrt(3.0))
@@ -23,6 +21,12 @@ EPS1_N3 = 1.0 / (1.0 + math.sqrt(3.0))
 def random_pure_state(dim, rng):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def ensemble_matrix(instance, k, epsilon):
+    """Dense (1-eps)/N * I + eps |psi_k><psi_k| of the search state after k steps."""
+    psi = closed_form_state(instance, k).statevector()
+    return (1 - epsilon) / instance.N * np.eye(instance.N) + epsilon * np.outer(psi, psi)
 
 
 class TestSuccessProbability:
@@ -57,7 +61,7 @@ class TestSuccessProbability:
         inst = make_instance(3, 5)
         for epsilon in (0.0, 0.3, 0.7, 1.0):
             for k in (0, 1, 2):
-                rho = make_ensemble(inst, k, epsilon).density_matrix()
+                rho = ensemble_matrix(inst, k, epsilon)
                 assert success_probability(inst, k, epsilon) == pytest.approx(
                     float(rho[inst.y, inst.y]), abs=1e-12
                 )
@@ -81,23 +85,12 @@ class TestEnsemble:
     def test_density_matrix_eigenvalues(self):
         inst = make_instance(3, 2)
         for epsilon in (0.0, 0.25, 0.9):
-            rho = make_ensemble(inst, 1, epsilon).density_matrix()
+            rho = ensemble_matrix(inst, 1, epsilon)
             eigs = np.sort(np.linalg.eigvalsh(rho))
             base = (1 - epsilon) / inst.N
             assert np.allclose(eigs[:-1], base, atol=1e-12)
             assert eigs[-1] == pytest.approx(base + epsilon, abs=1e-12)
             assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_validity_warning_threshold(self):
-        inst = make_instance(2, 1)
-        assert not make_ensemble(inst, 0, 0.05).validity_warning
-        assert make_ensemble(inst, 0, 0.2).validity_warning
-        assert not make_ensemble(inst, 0, 0.2, validity_threshold=0.5).validity_warning
-
-    def test_dense_guard(self):
-        ensemble = make_ensemble(make_instance(9, 0), 0, 0.1)
-        with pytest.raises(ValueError, match="N <= 256"):
-            ensemble.density_matrix()
 
 
 class TestPseudoVariance:
@@ -107,19 +100,22 @@ class TestPseudoVariance:
         psi = random_pure_state(4, rng)
         mean = float((psi.conj() @ theta @ psi).real)
         second = float((psi.conj() @ theta @ theta @ psi).real)
-        assert pseudo_variance(theta, psi, 1.0) == pytest.approx(second - mean**2, abs=1e-12)
+        report = fluctuation_report(theta, psi, 1.0)
+        assert report.pseudo_variance == pytest.approx(second - mean**2, abs=1e-12)
 
     def test_fully_mixed_limit(self):
         rng = np.random.default_rng(4)
         theta = random_traceless_hermitian(8, rng)
         psi = random_pure_state(8, rng)
         expected = float(np.trace(theta @ theta).real) / 8
-        assert pseudo_variance(theta, psi, 0.0) == pytest.approx(expected, abs=1e-12)
+        report = fluctuation_report(theta, psi, 0.0)
+        assert report.pseudo_variance == pytest.approx(expected, abs=1e-12)
 
     def test_projector_deviation_case(self):
         psi = np.full(4, 0.5)
         theta = projector_deviation(psi)
-        assert pseudo_variance(theta, psi, 0.5) == pytest.approx(0.234375, abs=1e-14)
+        report = fluctuation_report(theta, psi, 0.5)
+        assert report.pseudo_variance == pytest.approx(0.234375, abs=1e-14)
         assert direct_pseudo_variance(theta, psi, 0.5) == pytest.approx(0.234375, abs=1e-14)
 
     def test_identity_against_direct_computation(self):
@@ -129,7 +125,7 @@ class TestPseudoVariance:
                 theta = random_traceless_hermitian(dim, rng)
                 psi = random_pure_state(dim, rng)
                 epsilon = float(rng.uniform())
-                closed = pseudo_variance(theta, psi, epsilon)
+                closed = fluctuation_report(theta, psi, epsilon).pseudo_variance
                 direct = direct_pseudo_variance(theta, psi, epsilon)
                 assert closed == pytest.approx(direct, abs=1e-10)
                 assert closed >= -1e-12
@@ -137,18 +133,18 @@ class TestPseudoVariance:
     def test_rejects_traced_operator(self):
         psi = np.full(4, 0.5)
         with pytest.raises(ValueError, match="traceless"):
-            pseudo_variance(np.eye(4), psi, 0.5)
+            fluctuation_report(np.eye(4), psi, 0.5)
 
     def test_rejects_non_hermitian(self):
         psi = np.full(2, 1 / math.sqrt(2))
         op = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
-            pseudo_variance(op, psi, 0.5)
+            fluctuation_report(op, psi, 0.5)
 
     def test_rejects_unnormalized_state(self):
         theta = projector_deviation(np.full(4, 0.5))
         with pytest.raises(ValueError, match="normalized"):
-            pseudo_variance(theta, np.ones(4), 0.5)
+            fluctuation_report(theta, np.ones(4), 0.5)
 
 
 class TestProjectorDeviationVariance:
@@ -165,7 +161,7 @@ class TestProjectorDeviationVariance:
             theta = projector_deviation(psi)
             for epsilon in np.linspace(0.0, 1.0, 9):
                 special = projector_deviation_variance(N, float(epsilon))
-                general = pseudo_variance(theta, psi, float(epsilon))
+                general = fluctuation_report(theta, psi, float(epsilon)).pseudo_variance
                 assert special == pytest.approx(general, abs=1e-14)
 
     def test_non_negative_on_grid(self):
@@ -183,17 +179,18 @@ class TestTracelessExpectationScaling:
         rng = np.random.default_rng(5)
         theta = random_traceless_hermitian(4, rng)
         psi = random_pure_state(4, rng)
-        assert traceless_expectation_scaling(theta, psi, 0.0) == 0.0
         pure = float((psi.conj() @ theta @ psi).real)
-        assert traceless_expectation_scaling(theta, psi, 1.0) == pytest.approx(pure, abs=1e-12)
+        # the ensemble expectation eps * <Theta>_pure: 0 at eps = 0, pure at eps = 1
+        for epsilon in (0.0, 1.0):
+            report = fluctuation_report(theta, psi, epsilon)
+            assert report.pure_expectation == pytest.approx(pure, abs=1e-12)
 
     def test_projector_deviation_expectation(self):
         psi = np.full(4, 0.5)
         theta = projector_deviation(psi)
         for epsilon in (0.1, 0.5, 0.9):
-            assert traceless_expectation_scaling(theta, psi, epsilon) == pytest.approx(
-                epsilon * 0.75, abs=1e-13
-            )
+            report = fluctuation_report(theta, psi, epsilon)
+            assert epsilon * report.pure_expectation == pytest.approx(epsilon * 0.75, abs=1e-13)
 
     def test_matches_direct_trace(self):
         rng = np.random.default_rng(6)
@@ -202,7 +199,8 @@ class TestTracelessExpectationScaling:
             psi = random_pure_state(8, rng)
             epsilon = float(rng.uniform())
             rho = (1 - epsilon) / 8 * np.eye(8) + epsilon * np.outer(psi, psi.conj())
-            assert traceless_expectation_scaling(theta, psi, epsilon) == pytest.approx(
+            report = fluctuation_report(theta, psi, epsilon)
+            assert epsilon * report.pure_expectation == pytest.approx(
                 float(np.trace(rho @ theta).real), abs=1e-12
             )
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,9 +62,12 @@ class TestMakeInstance:
         assert make_instance(4).y == 15
 
     def test_completion_step(self):
-        for n in range(1, 31):
-            inst = make_instance(n)
-            assert inst.completion_step == pure_span(inst)
+        # smallest k with 2k*theta0 >= pi/2 at 50 digits; the ratio is exactly 1 at n = 1
+        with mpmath.workdps(50):
+            for n in range(1, 31):
+                ratio = mpmath.pi / (4 * mpmath.asin(mpmath.mpf(2) ** (-mpmath.mpf(n) / 2)))
+                inst = make_instance(n)
+                assert inst.completion_step == int(mpmath.ceil(ratio - mpmath.mpf(10) ** -40))
             assert (2 * inst.completion_step + 1) * inst.theta0 >= math.pi / 2
 
 
@@ -81,9 +85,9 @@ class TestClosedFormState:
     def test_two_iterations_on_eight_items(self):
         # sin^2(5*theta0) at N=8, evaluated by brute-force simulation
         state = closed_form_state(make_instance(3, 0), 2)
-        assert state.success_probability == pytest.approx(0.9453125, abs=1e-12)
+        assert state.target_amp**2 == pytest.approx(0.9453125, abs=1e-12)
         sim = simulate_statevector(make_instance(3, 0), 2)
-        assert sim[0] ** 2 == pytest.approx(state.success_probability, abs=1e-12)
+        assert sim[0] ** 2 == pytest.approx(state.target_amp**2, abs=1e-12)
 
     def test_angle_of_an_iteration_array(self):
         inst = make_instance(6, 9)
@@ -260,7 +264,7 @@ class TestScalarTargetSymmetry:
                 reduced = partial_trace_single_qubit(v, 0)
                 scalars = (
                     rotation_angle(inst, k),
-                    closed_form_state(inst, k).success_probability,
+                    closed_form_state(inst, k).target_amp ** 2,
                     reduced.lambda1,
                     reduced.lambda2,
                 )
