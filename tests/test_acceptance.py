@@ -152,9 +152,8 @@ def test_criterion_6_fluctuation_identity():
             worst = max(worst, abs(closed - direct))
     assert worst <= 1e-10
     psi4 = np.full(4, 0.5)
-    assert fluctuation_report(projector_deviation(psi4), psi4, 0.5).pseudo_variance == pytest.approx(
-        0.234375, abs=1e-12
-    )
+    report4 = fluctuation_report(projector_deviation(psi4), psi4, 0.5)
+    assert report4.pseudo_variance == pytest.approx(0.234375, abs=1e-12)
     assert projector_deviation_variance(4, 0.5) == pytest.approx(0.234375, abs=1e-14)
     for N in (2, 4, 8, 16):
         for epsilon in np.linspace(0.0, 1.0, 100):

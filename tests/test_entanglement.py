@@ -137,10 +137,9 @@ class TestSeparabilityBound:
     def test_profile_sixteen_items(self):
         # per-step bounds cross-checked by diagonalizing the traced matrix
         inst = make_instance(4, 15)
-        k = np.arange(3)
-        bounds = separability_bound(inst, k)
+        bounds = separability_bound(inst, np.arange(3))
         assert bounds[1] < bounds[2]
-        assert max_separable_epsilon(inst, k)[-1] == pytest.approx(0.20126284519300922, abs=1e-9)
+        assert max_separable_epsilon(inst, 2) == pytest.approx(0.20126284519300922, abs=1e-9)
         for k in (1, 2):
             reduced = partial_trace_single_qubit(simulate_statevector(inst, k), 2)
             eigs = np.linalg.eigvalsh(reduced.matrix)
