@@ -11,7 +11,6 @@ from .complexity import (
     SpeedupScanRecord,
     classical_queries,
     epsilon_speedup,
-    k_search_limit,
     pseudo_queries,
     scan_record,
     speedup_entanglement_scan,
@@ -70,7 +69,6 @@ __all__ = [
     "epsilon_speedup",
     "fluctuation_report",
     "hs_distance",
-    "k_search_limit",
     "linear_entropy",
     "make_instance",
     "max_separable_epsilon",

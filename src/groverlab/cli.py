@@ -8,7 +8,6 @@ always produce byte-identical output.
 """
 
 import contextlib
-import itertools
 import json
 import os
 
@@ -63,6 +62,17 @@ def _cells(values) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
+def _stack(records) -> dict:
+    """One column per record field; a scalar field is repeated along the record's array fields."""
+    parts = {}
+    for rec in records:
+        fields = vars(rec)
+        rows = max((len(value) for value in fields.values() if np.ndim(value)), default=1)
+        for name, value in fields.items():
+            parts.setdefault(name, []).append(np.broadcast_to(value, rows))
+    return {name: np.concatenate(column) for name, column in parts.items()}
+
+
 def _emit(columns: dict, fmt: str, output: str | None) -> None:
     """Write equal-length columns as CSV rows or a JSON list of records.
 
@@ -79,13 +89,20 @@ def _emit(columns: dict, fmt: str, output: str | None) -> None:
     if output is None:
         click.get_text_stream("stdout").write(text)
         return
-    # A sibling file renamed into place: a failed write never leaves a partial output.
-    partial = f"{output}.{os.getpid()}.partial"
+    target = os.path.realpath(output)
     try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            # A FIFO or a device node is written to, never replaced.
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            return
+        # A sibling of the resolved path renamed onto it: a failed write never
+        # leaves a partial output, and a symlink keeps pointing at its target.
+        partial = f"{target}.{os.getpid()}.partial"
         try:
             with open(partial, "x", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            os.replace(partial, output)
+            os.replace(partial, target)
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(partial)
@@ -122,16 +139,7 @@ def cmd_table1(min_qubits, max_qubits, fmt, output, include_final_test_query) ->
     """Best separability-constrained query counts versus classical search."""
     with _library_checks():
         rows = table1(min_qubits, max_qubits, include_final_test_query)
-    columns = {
-        "n": [row.n for row in rows],
-        "N": [row.N for row in rows],
-        "k_opt": [row.k_opt for row in rows],
-        "n_pseudo_min": [row.quantum_queries for row in rows],
-        "n_class": [row.classical_queries for row in rows],
-        "epsilon_used": [row.epsilon_used for row in rows],
-        "speedup": [row.speedup for row in rows],
-    }
-    _emit(columns, fmt, output)
+    _emit(_stack(rows), fmt, output)
 
 
 @cli.command("trace")
@@ -195,23 +203,7 @@ def cmd_scan(min_qubits, max_qubits, fmt, output) -> None:
     """
     with _library_checks():
         scans = speedup_entanglement_scan(min_qubits, max_qubits)
-    k, bound, entangled = zip(*itertools.chain.from_iterable(rec.iterations for rec in scans))
-    counts = [len(rec.iterations) for rec in scans]
-
-    def per_n(attr):
-        return np.repeat([getattr(rec, attr) for rec in scans], counts)
-
-    columns = {
-        "n": per_n("n"),
-        "k_opt": per_n("k_opt"),
-        "k": k,
-        "epsilon_bound": bound,
-        "epsilon_speedup": per_n("epsilon_speedup"),
-        "entangled_at_k": entangled,
-        "entangled_throughout": per_n("entangled_throughout"),
-        "last_step_exception": per_n("last_step_exception"),
-    }
-    _emit(columns, fmt, output)
+    _emit(_stack(scans), fmt, output)
     holds = all(rec.entangled_throughout for rec in scans)
     exceptions = [rec.n for rec in scans if rec.last_step_exception]
     if holds:
@@ -249,11 +241,7 @@ def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
     columns = {
         "n": [instance.n],
         "N": [instance.N],
-        "epsilon": [report.epsilon],
-        "pure_expectation": [report.pure_expectation],
-        "pure_variance": [report.pure_variance],
-        "trace_theta_sq_over_N": [report.trace_theta_sq_over_N],
-        "pseudo_variance": [report.pseudo_variance],
+        **_stack([report]),
         "direct_variance": [direct],
         "abs_difference": [abs(report.pseudo_variance - direct)],
     }

@@ -13,7 +13,7 @@ import numpy as np
 
 from .entanglement import max_separable_epsilon, requires_entanglement, separability_bound
 from .pseudopure import success_probability
-from .search import MAX_INSTANCE_QUBITS, SearchInstance, _as_int, make_instance, rotation_angle
+from .search import MAX_INSTANCE_QUBITS, SearchInstance, _check_size, _qubit_range, make_instance, rotation_angle
 
 MAX_SCAN_QUBITS = 20
 
@@ -25,28 +25,26 @@ def classical_queries(N: int) -> float:
     gives expectation (N+2)(N-1)/(2N) over a uniformly placed target.  Any
     integer type is accepted (``bool`` is not).
     """
-    N_int = _as_int(N)
-    if N_int is None or N_int < 2:
-        raise ValueError(f"search-space size must be an integer >= 2, got {N}")
-    return (N_int + 2) * (N_int - 1) / (2.0 * N_int)
-
-
-def k_search_limit(instance: SearchInstance) -> int:
-    """Iteration range guard: past the first pi/2 crossing the expected
-    cost only grows, so a margin of 2 beyond ceil(pi/(4*theta0)) suffices."""
-    return instance.completion_step + 2
+    N = _check_size(N)
+    return (N + 2) * (N - 1) / (2.0 * N)
 
 
 def pseudo_queries(instance: SearchInstance, epsilon, include_test_query: bool = True) -> tuple[int, float]:
     """Optimal iteration count and expected query count at given purities.
 
-    Minimizes (k+1)/p(k, eps) over k in [0, k_search_limit(instance)]; ties
-    go to the smaller k.  ``epsilon`` is one purity for every k or an array
-    of one purity per k.  With ``include_test_query`` False the one
-    outcome-testing evaluation is dropped from the count (the optimum k is
-    unchanged).  eps = 0 is allowed (pure guessing at p = 1/N).
+    Minimizes (k+1)/p(k, eps) over k in [0, instance.completion_step]; ties
+    go to the smaller k.  Past the completion step the rotation has passed
+    pi/2, so p(k) falls while k+1 grows, and p peaks again only after more
+    than twice as many iterations: no later k is cheaper (checked over three
+    windings for n = 1..24 at fixed and running-minimum purities).
+    ``epsilon`` is one purity for every k or an array of one purity per k in
+    that range.  With ``include_test_query`` False the one outcome-testing
+    evaluation is dropped from the count (the optimum k is unchanged).
+    eps = 0 is allowed (pure guessing at p = 1/N).
     """
-    k = np.arange(k_search_limit(instance) + 1)
+    k = np.arange(instance.completion_step + 1)
+    if np.ndim(epsilon) and np.shape(epsilon) != k.shape:
+        raise ValueError(f"expected {k.size} purities, one per k = 0..{k[-1]}, got {np.size(epsilon)}")
     q = (k + 1) / success_probability(instance, k, epsilon)
     best = int(np.argmin(q))
     return best, float(q[best]) - (0.0 if include_test_query else 1.0)
@@ -59,8 +57,8 @@ class ComplexityRow:
     n: int
     N: int
     k_opt: int
-    quantum_queries: float
-    classical_queries: float
+    n_pseudo_min: float
+    n_class: float
     epsilon_used: float
     speedup: bool
 
@@ -74,27 +72,22 @@ def table1_row(n: int, include_test_query: bool = True) -> ComplexityRow:
     """
     instance = make_instance(n)
     n_class = classical_queries(instance.N)
-    eps = max_separable_epsilon(instance, np.arange(k_search_limit(instance) + 1))
-    k_opt, quantum = pseudo_queries(instance, eps, include_test_query)
+    eps = max_separable_epsilon(instance, np.arange(instance.completion_step + 1))
+    k_opt, n_pseudo_min = pseudo_queries(instance, eps, include_test_query)
     return ComplexityRow(
         n=n,
         N=instance.N,
         k_opt=k_opt,
-        quantum_queries=quantum,
-        classical_queries=n_class,
+        n_pseudo_min=n_pseudo_min,
+        n_class=n_class,
         epsilon_used=float(eps[k_opt]),
-        speedup=quantum < n_class,
+        speedup=n_pseudo_min < n_class,
     )
 
 
 def table1(n_min: int, n_max: int, include_test_query: bool = True) -> list[ComplexityRow]:
     """Rows for every qubit count in [n_min, n_max]."""
-    if not 1 <= n_min <= n_max <= MAX_INSTANCE_QUBITS:
-        raise ValueError(
-            f"qubit range must satisfy 1 <= n_min <= n_max <= {MAX_INSTANCE_QUBITS}, "
-            f"got [{n_min}, {n_max}]"
-        )
-    return [table1_row(n, include_test_query) for n in range(n_min, n_max + 1)]
+    return [table1_row(n, include_test_query) for n in _qubit_range(n_min, n_max, 1, MAX_INSTANCE_QUBITS)]
 
 
 def epsilon_speedup(instance: SearchInstance) -> tuple[int, float] | None:
@@ -102,13 +95,13 @@ def epsilon_speedup(instance: SearchInstance) -> tuple[int, float] | None:
 
     The success probability is affine in the purity, so for each k the
     break-even purity is in closed form; the returned pair is the k in
-    [1, k_search_limit(instance)] attaining the smallest such threshold and
+    [1, instance.completion_step] attaining the smallest such threshold and
     that threshold.  Returns
     None when no purity <= 1 achieves a speed-up (e.g. a single qubit).
     Strictly above the threshold the machine is faster; at it, equal.
     """
     N = instance.N
-    k = np.arange(1, k_search_limit(instance) + 1)
+    k = np.arange(1, instance.completion_step + 1)
     gain = N * np.sin(rotation_angle(instance, k)) ** 2 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         threshold = (N * (k + 1) / classical_queries(N) - 1.0) / gain
@@ -119,19 +112,21 @@ def epsilon_speedup(instance: SearchInstance) -> tuple[int, float] | None:
     return int(k[best]), float(threshold[best])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeedupScanRecord:
     """Speed-up purity threshold versus separability bounds for one n.
 
-    ``iterations`` holds (k, separability bound at k, entangled flag) for
-    each 0 < k <= k_opt, where the flag records whether any speed-up
-    achieving purity must exceed the bound at that step.
+    The arrays ``k``, ``epsilon_bound`` and ``entangled_at_k`` hold, for
+    each 0 < k <= k_opt, the step, its separability bound, and whether any
+    speed-up achieving purity must exceed that bound.
     """
 
     n: int
     k_opt: int
+    k: np.ndarray
+    epsilon_bound: np.ndarray
     epsilon_speedup: float
-    iterations: tuple[tuple[int, float, bool], ...]
+    entangled_at_k: np.ndarray
     entangled_throughout: bool
     last_step_exception: bool
 
@@ -151,18 +146,15 @@ def scan_record(n: int) -> SpeedupScanRecord:
     return SpeedupScanRecord(
         n=n,
         k_opt=k_opt,
+        k=k,
+        epsilon_bound=bounds,
         epsilon_speedup=eps_su,
-        iterations=tuple(zip(k.tolist(), bounds.tolist(), entangled.tolist())),
+        entangled_at_k=entangled,
         entangled_throughout=bool(entangled[:-1].all() and (entangled[-1] or past_half_turn)),
         last_step_exception=bool(past_half_turn and not entangled[-1]),
     )
 
 
 def speedup_entanglement_scan(n_min: int, n_max: int) -> list[SpeedupScanRecord]:
-    """Scan records for every qubit count in (2, 20]."""
-    if not 2 < n_min <= n_max <= MAX_SCAN_QUBITS:
-        raise ValueError(
-            f"scan range must satisfy 2 < n_min <= n_max <= {MAX_SCAN_QUBITS}, "
-            f"got [{n_min}, {n_max}]"
-        )
-    return [scan_record(n) for n in range(n_min, n_max + 1)]
+    """Scan records for every qubit count in [3, 20]."""
+    return [scan_record(n) for n in _qubit_range(n_min, n_max, 3, MAX_SCAN_QUBITS)]

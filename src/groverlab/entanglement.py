@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .search import QubitReducedState, SearchInstance, rotation_angle
+from .search import QubitReducedState, SearchInstance, _check_epsilon, _check_iterations, rotation_angle
 
 BLOCH_SLACK = 1e-12
 
@@ -99,7 +99,7 @@ def schmidt_product(instance: SearchInstance, k):
     theta = rotation_angle(instance, k)
     return (
         N * (N - 2) / (2.0 * (N - 1) ** 2)
-        * np.sin(2 * k * instance.theta0) ** 2
+        * np.sin(2 * instance.theta0 * k) ** 2
         * np.cos(theta) ** 2
     )
 
@@ -120,9 +120,7 @@ def max_separable_epsilon(instance: SearchInstance, k):
 
     The running minimum of :func:`separability_bound`.
     """
-    k = np.asarray(k)
-    if np.any(k < 0):
-        raise ValueError(f"iteration bound must be non-negative, got {k.min()}")
+    k = _check_iterations(k)
     bounds = separability_bound(instance, np.arange(k.max(initial=0) + 1))
     return np.minimum.accumulate(bounds)[k]
 
@@ -147,8 +145,7 @@ def projected_singlet_fraction(lambda1: float, lambda2: float, N: int, epsilon: 
     """
     if abs(lambda1 + lambda2 - 1.0) > 1e-6:
         raise ValueError("Schmidt eigenvalues must sum to 1")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"purity parameter must lie in [0, 1], got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     psi = np.array([0.0, math.sqrt(max(lambda1, 0.0)), -math.sqrt(max(lambda2, 0.0)), 0.0])
     rho4 = N / (4.0 + epsilon * (N - 4)) * (
         (1.0 - epsilon) / N * np.eye(4) + epsilon * np.outer(psi, psi)

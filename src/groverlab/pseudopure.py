@@ -10,16 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import SearchInstance, rotation_angle
+from .search import SearchInstance, _check_epsilon, _check_size, rotation_angle
 
 TRACE_ATOL = 1e-10
-
-
-def _check_epsilon(epsilon):
-    eps = np.asarray(epsilon, dtype=float)
-    if not np.all((eps >= 0.0) & (eps <= 1.0)):
-        raise ValueError(f"purity parameter must lie in [0, 1], got {epsilon}")
-    return eps if eps.ndim else float(eps)
 
 
 def _check_observable(theta_op, psi):
@@ -82,8 +75,7 @@ def projector_deviation_variance(N: int, epsilon: float) -> float:
     (1-eps) * (1 - 1/N) * [1/N + eps*(1 - 1/N)], which is non-negative for
     all eps in [0, 1] and vanishes only at eps = 1.
     """
-    if N < 2:
-        raise ValueError(f"dimension must be at least 2, got {N}")
+    N = _check_size(N)
     epsilon = _check_epsilon(epsilon)
     q = 1.0 - 1.0 / N
     return (1.0 - epsilon) * q * (1.0 / N + epsilon * q)

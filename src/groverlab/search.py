@@ -61,6 +61,42 @@ def _as_int(value) -> int | None:
         return None
 
 
+def _check_iterations(k) -> np.ndarray:
+    """``k`` as an int64 array if every entry is a non-negative integer of an integer dtype (not ``bool``).
+
+    Widening to int64 keeps 2k+1 and k+1 from wrapping around in a narrow dtype.
+    """
+    k_arr = np.asarray(k)
+    if k_arr.dtype.kind not in "iu" or np.any(k_arr < 0):
+        raise ValueError(f"iteration count must be a non-negative integer, got {k}")
+    return k_arr.astype(np.int64)
+
+
+def _check_size(N) -> int:
+    """``N`` as a plain int if it is an integer >= 2 (not ``bool``)."""
+    N_int = _as_int(N)
+    if N_int is None or N_int < 2:
+        raise ValueError(f"size must be an integer >= 2, got {N}")
+    return N_int
+
+
+def _qubit_range(n_min, n_max, lowest: int, highest: int) -> range:
+    """Qubit counts n_min..n_max once integers with lowest <= n_min <= n_max <= highest."""
+    lo, hi = _as_int(n_min), _as_int(n_max)
+    if lo is None or hi is None or not lowest <= lo <= hi <= highest:
+        raise ValueError(
+            f"qubit range must satisfy {lowest} <= n_min <= n_max <= {highest}, got [{n_min}, {n_max}]"
+        )
+    return range(lo, hi + 1)
+
+
+def _check_epsilon(epsilon):
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
+        raise ValueError(f"purity parameter must lie in [0, 1], got {epsilon}")
+    return eps if eps.ndim else float(eps)
+
+
 def make_instance(n: int, y: int | None = None) -> SearchInstance:
     """Validate (n, y) and build a :class:`SearchInstance`.
 
@@ -87,9 +123,7 @@ def rotation_angle(instance: SearchInstance, k):
 
     ``k`` is an iteration count or an array of them; the result has its shape.
     """
-    if np.any(np.asarray(k) < 0):
-        raise ValueError(f"iteration count must be non-negative, got {np.min(k)}")
-    return (2 * k + 1) * instance.theta0
+    return (2 * _check_iterations(k) + 1) * instance.theta0
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +135,6 @@ class PureSearchState:
     """
 
     instance: SearchInstance
-    k: int
-    theta_k: float
     off_target_amp: float
     target_amp: float
 
@@ -118,8 +150,6 @@ def closed_form_state(instance: SearchInstance, k: int) -> PureSearchState:
     theta = rotation_angle(instance, k)
     return PureSearchState(
         instance=instance,
-        k=k,
-        theta_k=theta,
         off_target_amp=math.cos(theta) / math.sqrt(instance.N - 1),
         target_amp=math.sin(theta),
     )
@@ -161,8 +191,7 @@ def simulate_statevector(instance: SearchInstance, k: int) -> np.ndarray:
     ValueError
         If k < 0 or the instance exceeds the n <= 24 simulator guard.
     """
-    if k < 0:
-        raise ValueError(f"iteration count must be non-negative, got {k}")
+    _check_iterations(k)
     if instance.n > MAX_SIMULATOR_QUBITS:
         raise ValueError(
             f"statevector simulation is limited to n <= {MAX_SIMULATOR_QUBITS}, got n = {instance.n}"
@@ -184,12 +213,15 @@ class QubitReducedState:
     bloch : np.ndarray
         Bloch vector (s_x, s_y, s_z); s_y is identically 0 for the real
         states produced here.
+    bloch_length : float
+        Norm of the Bloch vector, clamped to at most 1.
     lambda1, lambda2 : float
         Eigenvalues (1 +- |s|)/2, clamped into [0, 1]; lambda1 >= lambda2.
     """
 
     matrix: np.ndarray
     bloch: np.ndarray
+    bloch_length: float
     lambda1: float
     lambda2: float
 
@@ -201,11 +233,7 @@ class QubitReducedState:
         s_len = min(float(np.linalg.norm(s)), 1.0)
         lam1 = (1.0 + s_len) / 2.0
         lam2 = max((1.0 - s_len) / 2.0, 0.0)
-        return cls(matrix=m, bloch=s, lambda1=lam1, lambda2=lam2)
-
-    @property
-    def bloch_length(self) -> float:
-        return min(float(np.linalg.norm(self.bloch)), 1.0)
+        return cls(matrix=m, bloch=s, bloch_length=s_len, lambda1=lam1, lambda2=lam2)
 
 
 def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:

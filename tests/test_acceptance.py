@@ -121,7 +121,7 @@ def test_criterion_4_two_qubit_threshold():
 def test_criterion_5_no_speedup_under_separability():
     start = time.perf_counter()
     for row in table1(3, 20):
-        assert row.quantum_queries >= row.classical_queries, f"speed-up leaked at n={row.n}"
+        assert row.n_pseudo_min >= row.n_class, f"speed-up leaked at n={row.n}"
         assert not row.speedup
     exceptions = []
     for n in range(3, 21):

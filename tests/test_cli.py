@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 
 import pytest
 from click.testing import CliRunner
@@ -64,8 +66,8 @@ class TestTable1Command:
             assert int(row["n"]) == expected.n
             assert int(row["N"]) == expected.N
             assert int(row["k_opt"]) == expected.k_opt
-            assert float(row["n_pseudo_min"]) == expected.quantum_queries
-            assert float(row["n_class"]) == expected.classical_queries
+            assert float(row["n_pseudo_min"]) == expected.n_pseudo_min
+            assert float(row["n_class"]) == expected.n_class
             assert float(row["epsilon_used"]) == expected.epsilon_used
             assert row["speedup"] == ("true" if expected.speedup else "false")
 
@@ -75,7 +77,7 @@ class TestTable1Command:
         assert len(records) == 1
         expected = table1(1, 1)[0]
         assert records[0]["n"] == 1
-        assert records[0]["n_pseudo_min"] == expected.quantum_queries
+        assert records[0]["n_pseudo_min"] == expected.n_pseudo_min
         assert records[0]["n_class"] == 1.0
         assert records[0]["speedup"] is False
 
@@ -100,6 +102,29 @@ class TestTable1Command:
         assert "rows.csv" in result.stderr
         assert not path.parent.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_output_through_a_symlink_writes_its_target(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("stale\n", encoding="utf-8")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        ok("table1", "--max-qubits", "3", "--output", str(link))
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_text(encoding="utf-8") == ok("table1", "--max-qubits", "3").stdout
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_output_into_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        received = []
+        # A daemon reader: if the FIFO were replaced, its open() would never return.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        ok("table1", "--max-qubits", "3", "--output", str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [ok("table1", "--max-qubits", "3").stdout]
+        assert fifo.is_fifo()
 
     def test_exclude_final_test_query(self):
         result = ok("table1", "--max-qubits", "2", "--include-final-test-query", "false")

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 from groverlab import (
     classical_queries,
     epsilon_speedup,
-    k_search_limit,
     make_instance,
     max_separable_epsilon,
     pseudo_queries,
@@ -72,7 +73,7 @@ class TestPseudoQueries:
 
     def test_low_purity_five_qubits_guesses(self):
         inst = make_instance(5, 0)
-        bound = max_separable_epsilon(inst, k_search_limit(inst))
+        bound = max_separable_epsilon(inst, inst.completion_step)
         for epsilon in (bound, bound / 2, 0.0):
             k_opt, queries = pseudo_queries(inst, epsilon)
             assert k_opt == 0
@@ -94,13 +95,20 @@ class TestPseudoQueries:
 
     def test_one_purity_per_k(self):
         inst = make_instance(4, 0)
-        k = np.arange(k_search_limit(inst) + 1)
+        k = np.arange(inst.completion_step + 1)
         eps = np.linspace(1.0, 0.2, k.size)
         costs = [(j + 1) / success_probability(inst, j, e) for j, e in zip(k.tolist(), eps)]
         k_opt, queries = pseudo_queries(inst, eps)
         assert k_opt == costs.index(min(costs))
         assert queries == pytest.approx(min(costs), rel=1e-15)
         assert pseudo_queries(inst, np.full(k.size, 0.6)) == pseudo_queries(inst, 0.6)
+
+    def test_purity_array_of_wrong_length(self):
+        inst = make_instance(4, 0)
+        expected = f"expected {inst.completion_step + 1} purities"
+        for size in (inst.completion_step, inst.completion_step + 3):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                pseudo_queries(inst, np.full(size, 0.5))
 
     def test_excluding_test_query_shifts_count_only(self):
         inst = make_instance(2, 3)
@@ -133,8 +141,8 @@ class TestTable:
         rows = table1(1, 8)
         for row, (n, N, k_opt, n_pseudo, n_class) in zip(rows, GOLDEN_ROWS):
             assert (row.n, row.N, row.k_opt) == (n, N, k_opt)
-            assert abs(row.quantum_queries - n_pseudo) <= 0.005
-            assert abs(row.classical_queries - n_class) <= 0.005
+            assert abs(row.n_pseudo_min - n_pseudo) <= 0.005
+            assert abs(row.n_class - n_class) <= 0.005
 
     def test_purity_respects_running_bound(self):
         for row in table1(1, 10):
@@ -143,31 +151,34 @@ class TestTable:
 
     def test_row_invariants(self):
         for row in table1(1, 12):
-            assert row.quantum_queries >= 1.0
-            assert row.classical_queries >= 1.0
+            assert row.n_pseudo_min >= 1.0
+            assert row.n_class >= 1.0
             assert row.k_opt >= 0
             assert row.N == 1 << row.n
 
     def test_two_qubit_speedup_without_entanglement(self):
         row = table1_row(2)
         assert row.speedup
-        assert row.quantum_queries == pytest.approx(2.0, abs=1e-9)
-        assert row.classical_queries == pytest.approx(2.25, abs=1e-12)
+        assert row.n_pseudo_min == pytest.approx(2.0, abs=1e-9)
+        assert row.n_class == pytest.approx(2.25, abs=1e-12)
 
     def test_no_speedup_at_three_qubits_and_above(self):
         for row in table1(3, 12):
             assert not row.speedup
-            assert row.quantum_queries >= row.classical_queries
+            assert row.n_pseudo_min >= row.n_class
 
     def test_excluding_test_query(self):
         row = table1_row(2, include_test_query=False)
-        assert row.quantum_queries == pytest.approx(1.0, abs=1e-9)
-        assert row.classical_queries / row.quantum_queries == pytest.approx(2.25, abs=1e-9)
+        assert row.n_pseudo_min == pytest.approx(1.0, abs=1e-9)
+        assert row.n_class / row.n_pseudo_min == pytest.approx(2.25, abs=1e-9)
 
-    @pytest.mark.parametrize("span", [(0, 4), (5, 2), (1, 31)])
+    @pytest.mark.parametrize("span", [(0, 4), (5, 2), (1, 31), (1.5, 3), (1, 2.0), (True, 2), (1, True)])
     def test_rejects_bad_ranges(self, span):
         with pytest.raises(ValueError):
             table1(*span)
+
+    def test_accepts_any_integer_type(self):
+        assert table1(np.int64(2), np.uint8(3)) == table1(2, 3)
 
 
 class TestEpsilonSpeedup:
@@ -213,26 +224,86 @@ class TestSpeedupScan:
         record = scan_record(3)
         assert record.k_opt == 1
         assert record.epsilon_speedup == pytest.approx(0.5061224489795919, abs=1e-9)
-        (k, bound, entangled), = record.iterations
-        assert k == 1
-        assert bound == pytest.approx(EPS1_N3, abs=1e-9)
-        assert entangled
+        assert record.k.tolist() == [1]
+        assert record.epsilon_bound.tolist() == [pytest.approx(EPS1_N3, abs=1e-9)]
+        assert record.entangled_at_k.tolist() == [True]
         assert record.entangled_throughout
         assert not record.last_step_exception
 
     def test_initial_state_excluded_from_scan(self):
         # the k = 0 bound is 1, never below any speed-up threshold
         record = scan_record(3)
-        assert all(k >= 1 for k, _, _ in record.iterations)
+        assert record.k.min() >= 1
 
     def test_full_range_entangled_throughout(self):
         for record in speedup_entanglement_scan(3, 20):
             assert record.entangled_throughout
 
-    @pytest.mark.parametrize("span", [(2, 5), (3, 21), (6, 4)])
+    @pytest.mark.parametrize("span", [(2, 5), (3, 21), (6, 4), (3.5, 5), (3, 5.0), (3, True)])
     def test_rejects_bad_ranges(self, span):
         with pytest.raises(ValueError):
             speedup_entanglement_scan(*span)
+
+
+class TestSweepRange:
+    """Over three windings of the rotation, both optima lie at k <= completion_step.
+
+    Everything here is evaluated with ``math`` from the defining formulas:
+    p(k) = [1 + eps*(N sin^2((2k+1)theta0) - 1)]/N, the separability bound
+    1/(1 + N sqrt(P_k)) with P_k = N(N-2)/(2(N-1)^2) sin^2(2k theta0)
+    cos^2((2k+1)theta0), and the break-even purity of each k.
+    """
+
+    @staticmethod
+    def windings(n):
+        inst = make_instance(n)
+        N = inst.N
+        theta0 = math.asin(1.0 / math.sqrt(N))
+        ks = range(3 * inst.completion_step + 6)
+        s2 = [math.sin((2 * k + 1) * theta0) ** 2 for k in ks]
+        scale = N * (N - 2) / (2.0 * (N - 1) ** 2)
+        bounds = [
+            1.0 / (1.0 + N * math.sqrt(scale * math.sin(2 * k * theta0) ** 2 * (1.0 - s2[k])))
+            for k in ks
+        ]
+        return inst, N, s2, list(itertools.accumulate(bounds, min))
+
+    @staticmethod
+    def first_min(values):
+        best = min(range(len(values)), key=values.__getitem__)
+        return best, values[best]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_least_cost_within_first_quarter_turn(self, n):
+        inst, N, s2, running = self.windings(n)
+        for epsilon in (1.0, 0.5, 0.1, 0.01):
+            cost = [(k + 1) * N / (1.0 + epsilon * (N * s - 1.0)) for k, s in enumerate(s2)]
+            k_best, least = self.first_min(cost)
+            assert k_best <= inst.completion_step
+            k_opt, queries = pseudo_queries(inst, epsilon)
+            assert (k_opt, queries) == (k_best, pytest.approx(least, rel=1e-12))
+        cost = [(k + 1) * N / (1.0 + e * (N * s - 1.0)) for k, (s, e) in enumerate(zip(s2, running))]
+        k_best, least = self.first_min(cost)
+        assert k_best <= inst.completion_step
+        row = table1_row(n)
+        assert (row.k_opt, row.n_pseudo_min) == (k_best, pytest.approx(least, rel=1e-12))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_least_speedup_threshold_within_first_quarter_turn(self, n):
+        inst, N, s2, _ = self.windings(n)
+        n_class = (N + 2) * (N - 1) / (2.0 * N)
+        thresholds = {}
+        for k, s in enumerate(s2[1:], start=1):
+            gain = N * s - 1.0
+            if gain > 0.0 and 0.0 < (N * (k + 1) / n_class - 1.0) / gain <= 1.0:
+                thresholds[k] = (N * (k + 1) / n_class - 1.0) / gain
+        if not thresholds:
+            assert epsilon_speedup(inst) is None
+            return
+        k_best = min(thresholds, key=thresholds.__getitem__)
+        assert k_best <= inst.completion_step
+        k_opt, threshold = epsilon_speedup(inst)
+        assert (k_opt, threshold) == (k_best, pytest.approx(thresholds[k_best], rel=1e-12))
 
 
 class TestAffinity:

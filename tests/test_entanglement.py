@@ -7,6 +7,7 @@ from groverlab import (
     apply_grover_step,
     bloch_components,
     bloch_vector,
+    epsilon_speedup,
     hs_distance,
     linear_entropy,
     make_instance,
@@ -22,6 +23,20 @@ from groverlab import (
 )
 
 EPS1_N3 = 1.0 / (1.0 + math.sqrt(3.0))  # closed form at n=3, k=1
+
+
+def partial_transpose_threshold(psi, low_qubits):
+    """Purity at which (1-eps)/N*I + eps*|psi><psi| stops having a positive
+    partial transpose on qubits 0..low_qubits-1, from the dense matrix.
+
+    The partial transpose has eigenvalues (1-eps)/N + eps*mu, so with mu its
+    smallest eigenvalue at eps = 1 the crossing is (1/N)/(1/N - mu), or 1
+    when mu >= 0.
+    """
+    N, d = psi.size, 1 << low_qubits
+    rho = np.outer(psi, psi).reshape(N // d, d, N // d, d)
+    mu = np.linalg.eigvalsh(rho.transpose(0, 3, 2, 1).reshape(N, N))[0]
+    return 1.0 if mu >= 0.0 else (1.0 / N) / (1.0 / N - mu)
 
 
 class TestBlochVector:
@@ -224,6 +239,38 @@ class TestProjectedSingletFraction:
     def test_rejects_bad_eigenvalues(self):
         with pytest.raises(ValueError):
             projected_singlet_fraction(0.7, 0.7, 8, 0.5)
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.1, math.nan])
+    def test_rejects_purity_outside_unit_interval(self, epsilon):
+        with pytest.raises(ValueError):
+            projected_singlet_fraction(0.7, 0.3, 8, epsilon)
+
+
+class TestPartialTransposeOracle:
+    """Peres criterion on simulated states, sharing no code with the closed forms."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_one_qubit_cut_reproduces_bound(self, n):
+        inst = make_instance(n)
+        k_opt, _ = epsilon_speedup(inst)
+        for k in range(1, k_opt + 1):
+            assert partial_transpose_threshold(simulate_statevector(inst, k), 1) == pytest.approx(
+                separability_bound(inst, k), abs=1e-14
+            )
+
+    @pytest.mark.parametrize(
+        "n,balanced,one_qubit",
+        [(4, 0.18181818, 0.20126285), (6, 0.03869926, 0.04817457), (8, 0.00877670, 0.01164826)],
+    )
+    def test_balanced_cut_gives_a_smaller_bound(self, n, balanced, one_qubit):
+        inst = make_instance(n)
+        k_opt, _ = epsilon_speedup(inst)
+        states = [simulate_statevector(inst, k) for k in range(1, k_opt + 1)]
+        lowest_balanced = min(partial_transpose_threshold(psi, n // 2) for psi in states)
+        lowest_one_qubit = min(partial_transpose_threshold(psi, 1) for psi in states)
+        assert lowest_balanced == pytest.approx(balanced, abs=1e-8)
+        assert lowest_one_qubit == pytest.approx(one_qubit, abs=1e-8)
+        assert lowest_balanced < lowest_one_qubit
 
 
 class TestConsistencyChain:

@@ -173,6 +173,11 @@ class TestProjectorDeviationVariance:
         with pytest.raises(ValueError):
             projector_deviation_variance(1, 0.5)
 
+    @pytest.mark.parametrize("N", [2.5, True, "4"])
+    def test_rejects_non_integer_dimension(self, N):
+        with pytest.raises(ValueError):
+            projector_deviation_variance(N, 0.5)
+
 
 class TestTracelessExpectationScaling:
     def test_limits(self):

@@ -8,8 +8,10 @@ from groverlab import (
     apply_grover_step,
     closed_form_state,
     make_instance,
+    max_separable_epsilon,
     partial_trace_single_qubit,
     rotation_angle,
+    schmidt_product,
     simulate_statevector,
 )
 
@@ -120,6 +122,22 @@ class TestClosedFormState:
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
             closed_form_state(make_instance(2, 0), -1)
+
+
+class TestIterationCounts:
+    """One check serves every function that takes an iteration count."""
+
+    @pytest.mark.parametrize("fn", [rotation_angle, closed_form_state, max_separable_epsilon, simulate_statevector])
+    @pytest.mark.parametrize("k", [True, 2.0, 1.5, np.array([0.0, 1.0])])
+    def test_rejects_bools_and_non_integers(self, fn, k):
+        with pytest.raises(ValueError):
+            fn(make_instance(3), k)
+
+    @pytest.mark.parametrize("fn", [rotation_angle, schmidt_product, max_separable_epsilon, simulate_statevector])
+    @pytest.mark.parametrize("k", [np.int64(255), np.uint8(255), np.int16(255)])
+    def test_accepts_any_integer_type(self, fn, k):
+        # 2k+1 and k+1 would wrap around in uint8
+        np.testing.assert_array_equal(fn(make_instance(3), k), fn(make_instance(3), 255))
 
 
 class TestGroverStep:
