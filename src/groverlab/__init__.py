@@ -40,7 +40,6 @@ from .pseudopure import (
     success_probability,
 )
 from .search import (
-    PureSearchState,
     QubitReducedState,
     SearchInstance,
     apply_grover_step,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplexityRow",
     "FluctuationReport",
-    "PureSearchState",
     "QubitReducedState",
     "SearchInstance",
     "SpeedupScanRecord",

@@ -234,7 +234,7 @@ def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
         raise _InvalidArgument(f"qubit count must be at most {MAX_FLUCTUATION_QUBITS}, got {qubits}")
     with _library_checks():
         instance = make_instance(qubits)
-        psi = closed_form_state(instance, 0).statevector()
+        psi = closed_form_state(instance, 0)
         theta_op = projector_deviation(psi)
         report = fluctuation_report(theta_op, psi, epsilon)
     direct = direct_pseudo_variance(theta_op, psi, epsilon)

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .search import QubitReducedState, SearchInstance, _check_epsilon, _check_iterations, rotation_angle
+from .search import QubitReducedState, SearchInstance, rotation_angle
+from .search import _check_epsilon, _check_iterations, _check_qubit, _check_size
 
 BLOCH_SLACK = 1e-12
 
@@ -37,6 +38,7 @@ def bloch_components(N: int, theta) -> np.ndarray:
     the target index, in the target frame.  An array of angles gives an
     array of shape (3, *theta.shape).
     """
+    N = _check_size(N)
     c2 = np.cos(theta) ** 2
     s_x = (N - 2) / (N - 1) * c2 + np.sin(2 * theta) / math.sqrt(N - 1)
     s_z = c2 / (N - 1) - np.sin(theta) ** 2
@@ -55,9 +57,8 @@ def target_frame_bloch(reduced: QubitReducedState, instance: SearchInstance, ell
     that qubit is relabeled (a bit flip), which negates s_y and s_z.
     """
     s = np.array(reduced.bloch, dtype=float)
-    if not (instance.y >> ell) & 1:
-        s[1] = -s[1]
-        s[2] = -s[2]
+    if not (instance.y >> _check_qubit(ell, instance.n)) & 1:
+        s[1:] = -s[1:]
     return s
 
 
@@ -145,6 +146,7 @@ def projected_singlet_fraction(lambda1: float, lambda2: float, N: int, epsilon: 
     """
     if abs(lambda1 + lambda2 - 1.0) > 1e-6:
         raise ValueError("Schmidt eigenvalues must sum to 1")
+    N = _check_size(N)
     epsilon = _check_epsilon(epsilon)
     psi = np.array([0.0, math.sqrt(max(lambda1, 0.0)), -math.sqrt(max(lambda2, 0.0)), 0.0])
     rho4 = N / (4.0 + epsilon * (N - 4)) * (

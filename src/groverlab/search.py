@@ -72,6 +72,24 @@ def _check_iterations(k) -> np.ndarray:
     return k_arr.astype(np.int64)
 
 
+def _check_statevector_request(instance: SearchInstance, k) -> int:
+    """``k`` as a plain int if it is one iteration count and the n <= 24 guard admits ``instance``."""
+    k_arr = _check_iterations(k)
+    if k_arr.ndim:
+        raise ValueError(f"expected one iteration count, got an array of shape {k_arr.shape}")
+    if instance.n > MAX_SIMULATOR_QUBITS:
+        raise ValueError(f"materialized states need n <= {MAX_SIMULATOR_QUBITS}, got n = {instance.n}")
+    return int(k_arr)
+
+
+def _check_qubit(ell, n: int) -> int:
+    """``ell`` as a plain int if it is an integer qubit index 0 <= ell < n (not ``bool``)."""
+    ell_int = _as_int(ell)
+    if ell_int is None or not 0 <= ell_int < n:
+        raise ValueError(f"qubit index must be an integer in [0, {n}), got {ell}")
+    return ell_int
+
+
 def _check_size(N) -> int:
     """``N`` as a plain int if it is an integer >= 2 (not ``bool``)."""
     N_int = _as_int(N)
@@ -126,37 +144,23 @@ def rotation_angle(instance: SearchInstance, k):
     return (2 * _check_iterations(k) + 1) * instance.theta0
 
 
-@dataclass(frozen=True, eq=False)
-class PureSearchState:
-    """Closed-form pure state after k search iterations.
+def closed_form_state(instance: SearchInstance, k) -> np.ndarray:
+    """Length-N amplitudes after k iterations: sin(theta_k) at the target, cos(theta_k)/sqrt(N-1) elsewhere.
 
-    The state is sin(theta_k) on the target index and a common real
-    amplitude cos(theta_k)/sqrt(N-1) on every other index.
+    :func:`simulate_statevector` reaches the same array step by step; both
+    take one iteration count and allow n <= 24.
     """
-
-    instance: SearchInstance
-    off_target_amp: float
-    target_amp: float
-
-    def statevector(self) -> np.ndarray:
-        """Materialize the length-N amplitude vector (target entry at y)."""
-        v = np.full(self.instance.N, self.off_target_amp)
-        v[self.instance.y] = self.target_amp
-        return v
+    theta = rotation_angle(instance, _check_statevector_request(instance, k))
+    v = np.full(instance.N, math.cos(theta) / math.sqrt(instance.N - 1))
+    v[instance.y] = math.sin(theta)
+    return v
 
 
-def closed_form_state(instance: SearchInstance, k: int) -> PureSearchState:
-    """Evaluate the search state after k >= 0 iterations without simulating."""
-    theta = rotation_angle(instance, k)
-    return PureSearchState(
-        instance=instance,
-        off_target_amp=math.cos(theta) / math.sqrt(instance.N - 1),
-        target_amp=math.sin(theta),
-    )
-
-
-def _check_normalized(amplitudes: np.ndarray) -> np.ndarray:
-    v = np.asarray(amplitudes, dtype=float)
+def _check_normalized(amplitudes) -> np.ndarray:
+    v = np.asarray(amplitudes)
+    if v.ndim != 1 or v.dtype.kind == "c":
+        raise ValueError(f"amplitudes must be a real 1-D array, got {v.dtype} of shape {v.shape}")
+    v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_ATOL:
         raise ValueError(f"amplitude vector is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")
@@ -180,7 +184,7 @@ def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
     return 2.0 * w.mean() - w
 
 
-def simulate_statevector(instance: SearchInstance, k: int) -> np.ndarray:
+def simulate_statevector(instance: SearchInstance, k) -> np.ndarray:
     """Brute-force the state after k iterations, starting from uniform.
 
     Independent of :func:`closed_form_state`; the two agree to better than
@@ -189,13 +193,9 @@ def simulate_statevector(instance: SearchInstance, k: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If k < 0 or the instance exceeds the n <= 24 simulator guard.
+        If k is not one non-negative integer or n exceeds the n <= 24 guard.
     """
-    _check_iterations(k)
-    if instance.n > MAX_SIMULATOR_QUBITS:
-        raise ValueError(
-            f"statevector simulation is limited to n <= {MAX_SIMULATOR_QUBITS}, got n = {instance.n}"
-        )
+    k = _check_statevector_request(instance, k)
     v = np.full(instance.N, 1.0 / math.sqrt(instance.N))
     for _ in range(k):
         v = apply_grover_step(v, instance)
@@ -247,10 +247,7 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
     n = N.bit_length() - 1
     if N != 1 << n:
         raise ValueError(f"amplitude count must be a power of two, got {N}")
-    if not 0 <= ell < n:
-        raise ValueError(f"qubit index must be in [0, {n}), got {ell}")
-    low = 1 << ell
-    high = N >> (ell + 1)
-    blocks = v.reshape(high, 2, low)
+    ell = _check_qubit(ell, n)
+    blocks = v.reshape(N >> (ell + 1), 2, 1 << ell)
     rho = np.einsum("hal,hbl->ab", blocks, blocks)
     return QubitReducedState.from_matrix(rho)

@@ -53,6 +53,19 @@ class TestBlochVector:
         s = bloch_components(N, math.pi / 2)
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("N", [1, 2.5, True, 0])
+    def test_rejects_bad_sizes(self, N):
+        # N = 1 used to divide by zero
+        with pytest.raises(ValueError, match="size"):
+            bloch_components(N, 0.3)
+
+    @pytest.mark.parametrize("ell", [True, 1.0, -1, 3])
+    def test_target_frame_needs_a_qubit_of_the_instance(self, ell):
+        # ell = 5 used to flip the signs for a qubit that does not exist
+        reduced = partial_trace_single_qubit(simulate_statevector(make_instance(3, 5), 1), 0)
+        with pytest.raises(ValueError, match="qubit index"):
+            target_frame_bloch(reduced, make_instance(3, 5), ell)
+
     def test_matches_partial_trace_for_all_target_bits(self):
         # target with mixed bit values exercises the frame relabeling
         inst = make_instance(4, 0b0110)
@@ -244,6 +257,12 @@ class TestProjectedSingletFraction:
     def test_rejects_purity_outside_unit_interval(self, epsilon):
         with pytest.raises(ValueError):
             projected_singlet_fraction(0.7, 0.3, 8, epsilon)
+
+    @pytest.mark.parametrize("N", [2.5, True, 1])
+    def test_rejects_bad_sizes(self, N):
+        # these returned 0.408, 0.323 and 0.323
+        with pytest.raises(ValueError, match="size"):
+            projected_singlet_fraction(0.5, 0.5, N, 0.3)
 
 
 class TestPartialTransposeOracle:

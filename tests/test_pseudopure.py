@@ -25,7 +25,7 @@ def random_pure_state(dim, rng):
 
 def ensemble_matrix(instance, k, epsilon):
     """Dense (1-eps)/N * I + eps |psi_k><psi_k| of the search state after k steps."""
-    psi = closed_form_state(instance, k).statevector()
+    psi = closed_form_state(instance, k)
     return (1 - epsilon) / instance.N * np.eye(instance.N) + epsilon * np.outer(psi, psi)
 
 

@@ -75,21 +75,21 @@ class TestMakeInstance:
 
 class TestClosedFormState:
     def test_completes_exactly_at_four_items(self):
-        state = closed_form_state(make_instance(2, 3), 1)
-        assert state.target_amp == pytest.approx(1.0, abs=1e-15)
-        assert state.off_target_amp == pytest.approx(0.0, abs=1e-15)
+        v = closed_form_state(make_instance(2, 3), 1)
+        assert v[3] == pytest.approx(1.0, abs=1e-15)
+        assert v[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_initial_single_qubit_state_is_uniform(self):
-        state = closed_form_state(make_instance(1, 0), 0)
-        assert state.target_amp == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert state.off_target_amp == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        v = closed_form_state(make_instance(1, 0), 0)
+        assert v[0] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert v[1] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
 
     def test_two_iterations_on_eight_items(self):
         # sin^2(5*theta0) at N=8, evaluated by brute-force simulation
-        state = closed_form_state(make_instance(3, 0), 2)
-        assert state.target_amp**2 == pytest.approx(0.9453125, abs=1e-12)
+        v = closed_form_state(make_instance(3, 0), 2)
+        assert v[0] ** 2 == pytest.approx(0.9453125, abs=1e-12)
         sim = simulate_statevector(make_instance(3, 0), 2)
-        assert sim[0] ** 2 == pytest.approx(state.target_amp**2, abs=1e-12)
+        assert sim[0] ** 2 == pytest.approx(v[0] ** 2, abs=1e-12)
 
     def test_angle_of_an_iteration_array(self):
         inst = make_instance(6, 9)
@@ -107,17 +107,18 @@ class TestClosedFormState:
         for n in (1, 2, 5, 9):
             inst = make_instance(n, 0)
             for k in range(0, 3 * pure_span(inst), max(1, pure_span(inst) // 3)):
-                s = closed_form_state(inst, k)
-                total = (inst.N - 1) * s.off_target_amp**2 + s.target_amp**2
+                v = closed_form_state(inst, k)
+                total = (inst.N - 1) * v[1] ** 2 + v[0] ** 2
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_materialized_amplitudes(self):
-        state = closed_form_state(make_instance(3, 5), 1)
-        v = state.statevector()
-        assert v.shape == (8,)
-        assert v[5] == pytest.approx(state.target_amp, abs=1e-10)
+        inst = make_instance(3, 5)
+        theta = rotation_angle(inst, 1)
+        v = closed_form_state(inst, 1)
+        assert v.shape == (8,) and v.dtype == np.float64
+        assert v[5] == pytest.approx(math.sin(theta), abs=1e-10)
         mask = np.arange(8) != 5
-        assert np.allclose(v[mask], state.off_target_amp, atol=1e-10)
+        assert np.allclose(v[mask], math.cos(theta) / math.sqrt(7), atol=1e-10)
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
@@ -133,11 +134,27 @@ class TestIterationCounts:
         with pytest.raises(ValueError):
             fn(make_instance(3), k)
 
-    @pytest.mark.parametrize("fn", [rotation_angle, schmidt_product, max_separable_epsilon, simulate_statevector])
+    @pytest.mark.parametrize(
+        "fn", [rotation_angle, schmidt_product, max_separable_epsilon, simulate_statevector, closed_form_state]
+    )
     @pytest.mark.parametrize("k", [np.int64(255), np.uint8(255), np.int16(255)])
     def test_accepts_any_integer_type(self, fn, k):
         # 2k+1 and k+1 would wrap around in uint8
         np.testing.assert_array_equal(fn(make_instance(3), k), fn(make_instance(3), 255))
+
+
+class TestMaterializedStates:
+    """The closed form and the simulator share one check of k and of the n <= 24 guard."""
+
+    @pytest.mark.parametrize("fn", [closed_form_state, simulate_statevector])
+    def test_reject_an_array_of_counts(self, fn):
+        with pytest.raises(ValueError, match="one iteration count"):
+            fn(make_instance(3), np.array([1, 2], dtype=np.uint8))
+
+    def test_closed_form_has_the_simulator_size_guard(self):
+        # n = 25..30 would allocate 256 MiB to 8 GiB
+        with pytest.raises(ValueError, match="n <= 24"):
+            closed_form_state(make_instance(25), 0)
 
 
 class TestGroverStep:
@@ -208,7 +225,7 @@ class TestSimulateStatevector:
             inst = make_instance(n, inst_target(n))
             v = simulate_statevector(inst, 0)
             for k in range(2 * pure_span(inst) + 1):
-                exact = closed_form_state(inst, k).statevector()
+                exact = closed_form_state(inst, k)
                 overlap = float(np.dot(v, exact)) ** 2
                 assert overlap >= 1.0 - 1e-10
                 v = apply_grover_step(v, inst)
@@ -261,13 +278,28 @@ class TestPartialTrace:
 
     def test_rejects_bad_qubit_index(self):
         v = simulate_statevector(make_instance(2, 0), 0)
-        for ell in (-1, 2):
-            with pytest.raises(ValueError):
+        # True used to trace qubit 1 and 1.0 to fail inside a shift
+        for ell in (-1, 2, True, 1.0):
+            with pytest.raises(ValueError, match="qubit index"):
                 partial_trace_single_qubit(v, ell)
+
+    def test_accepts_any_integer_qubit_index(self):
+        v = simulate_statevector(make_instance(3, 5), 1)
+        for ell in range(3):
+            expected = partial_trace_single_qubit(v, ell).matrix
+            np.testing.assert_array_equal(partial_trace_single_qubit(v, np.uint8(ell)).matrix, expected)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             partial_trace_single_qubit(np.ones(4), 0)
+
+    @pytest.mark.parametrize("v", [np.full(4, 0.5 + 0j), np.full((2, 2), 0.5)], ids=["complex", "matrix"])
+    def test_amplitudes_are_a_real_vector(self, v):
+        # a complex vector used to be cast to real with a ComplexWarning, a matrix to fail in reshape
+        with pytest.raises(ValueError, match="real 1-D"):
+            partial_trace_single_qubit(v, 0)
+        with pytest.raises(ValueError, match="real 1-D"):
+            apply_grover_step(v, make_instance(2, 0))
 
 
 class TestScalarTargetSymmetry:
@@ -282,7 +314,7 @@ class TestScalarTargetSymmetry:
                 reduced = partial_trace_single_qubit(v, 0)
                 scalars = (
                     rotation_angle(inst, k),
-                    closed_form_state(inst, k).target_amp ** 2,
+                    closed_form_state(inst, k)[y] ** 2,
                     reduced.lambda1,
                     reduced.lambda2,
                 )
