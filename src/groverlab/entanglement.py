@@ -144,11 +144,13 @@ def projected_singlet_fraction(lambda1: float, lambda2: float, N: int, epsilon: 
     epsilon reproduces :func:`separability_bound` and serves as its
     independent verification route.
     """
+    if not (0.0 <= lambda1 <= 1.0 and 0.0 <= lambda2 <= 1.0):
+        raise ValueError(f"Schmidt eigenvalues must lie in [0, 1], got {lambda1} and {lambda2}")
     if abs(lambda1 + lambda2 - 1.0) > 1e-6:
         raise ValueError("Schmidt eigenvalues must sum to 1")
     N = _check_size(N)
     epsilon = _check_epsilon(epsilon)
-    psi = np.array([0.0, math.sqrt(max(lambda1, 0.0)), -math.sqrt(max(lambda2, 0.0)), 0.0])
+    psi = np.array([0.0, math.sqrt(lambda1), -math.sqrt(lambda2), 0.0])
     rho4 = N / (4.0 + epsilon * (N - 4)) * (
         (1.0 - epsilon) / N * np.eye(4) + epsilon * np.outer(psi, psi)
     )

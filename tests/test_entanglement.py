@@ -252,6 +252,9 @@ class TestProjectedSingletFraction:
     def test_rejects_bad_eigenvalues(self):
         with pytest.raises(ValueError):
             projected_singlet_fraction(0.7, 0.7, 8, 0.5)
+        # these sum to 1 and used to return 0.583, certifying entanglement
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            projected_singlet_fraction(1.5, -0.5, 8, 0.5)
 
     @pytest.mark.parametrize("epsilon", [-0.1, 1.1, math.nan])
     def test_rejects_purity_outside_unit_interval(self, epsilon):

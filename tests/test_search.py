@@ -197,6 +197,24 @@ class TestGroverStep:
         with pytest.raises(ValueError):
             apply_grover_step(np.full(4, 0.5), inst)
 
+    def test_leaves_its_input_untouched(self):
+        # bit for bit the out-of-place reference, without writing to the
+        # caller's array or returning a view of it
+        for n in range(1, 13):
+            N = 1 << n
+            for y in sorted({0, N // 3, N - 1}):
+                inst = make_instance(n, y)
+                v = simulate_statevector(inst, 0)
+                for _ in range(2 * inst.completion_step):
+                    before = v.copy()
+                    out = apply_grover_step(v, inst)
+                    assert np.array_equal(v, before)
+                    assert not np.shares_memory(out, v)
+                    w = v.copy()
+                    w[y] = -w[y]
+                    np.testing.assert_array_equal(out, 2.0 * w.mean() - w)
+                    v = out
+
 
 class TestSimulateStatevector:
     def test_exact_completion_vector(self):
@@ -292,6 +310,23 @@ class TestPartialTrace:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             partial_trace_single_qubit(np.ones(4), 0)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(16, 21))
+    def test_brute_force_matches_closed_form_at_completion(self, n):
+        # the first sizes whose partial traces span more than one 2**16-amplitude chunk
+        inst = make_instance(n, inst_target(n))
+        k = inst.completion_step
+        v = simulate_statevector(inst, k)
+        exact = closed_form_state(inst, k)
+        assert float(v @ exact) ** 2 == pytest.approx(1.0, abs=1e-12)
+        a, b = exact[inst.y], exact[inst.y ^ 1]
+        half = inst.N // 2
+        marked, unmarked, off = a * a + (half - 1) * b * b, half * b * b, (half - 1) * b * b + a * b
+        for ell in range(n):
+            diagonal = [unmarked, marked] if (inst.y >> ell) & 1 else [marked, unmarked]
+            expected = [[diagonal[0], off], [off, diagonal[1]]]
+            np.testing.assert_allclose(partial_trace_single_qubit(v, ell).matrix, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("v", [np.full(4, 0.5 + 0j), np.full((2, 2), 0.5)], ids=["complex", "matrix"])
     def test_amplitudes_are_a_real_vector(self, v):
