@@ -314,7 +314,7 @@ class TestPartialTrace:
     @pytest.mark.slow
     @pytest.mark.parametrize("n", range(16, 21))
     def test_brute_force_matches_closed_form_at_completion(self, n):
-        # the first sizes whose partial traces span more than one 2**16-amplitude chunk
+        # from one to eight 2**16-amplitude chunks per sum in the partial trace
         inst = make_instance(n, inst_target(n))
         k = inst.completion_step
         v = simulate_statevector(inst, k)
