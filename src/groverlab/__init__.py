@@ -18,16 +18,13 @@ from .complexity import (
     table1_row,
 )
 from .entanglement import (
-    bloch_components,
     bloch_vector,
     hs_distance,
     linear_entropy,
     max_separable_epsilon,
-    projected_singlet_fraction,
     requires_entanglement,
     schmidt_product,
     separability_bound,
-    target_frame_bloch,
     von_neumann_entropy,
 )
 from .pseudopure import (
@@ -35,8 +32,6 @@ from .pseudopure import (
     direct_pseudo_variance,
     fluctuation_report,
     projector_deviation,
-    projector_deviation_variance,
-    random_traceless_hermitian,
     success_probability,
 )
 from .search import (
@@ -59,7 +54,6 @@ __all__ = [
     "SearchInstance",
     "SpeedupScanRecord",
     "apply_grover_step",
-    "bloch_components",
     "bloch_vector",
     "classical_queries",
     "closed_form_state",
@@ -71,11 +65,8 @@ __all__ = [
     "make_instance",
     "max_separable_epsilon",
     "partial_trace_single_qubit",
-    "projected_singlet_fraction",
     "projector_deviation",
-    "projector_deviation_variance",
     "pseudo_queries",
-    "random_traceless_hermitian",
     "requires_entanglement",
     "rotation_angle",
     "scan_record",
@@ -86,6 +77,5 @@ __all__ = [
     "success_probability",
     "table1",
     "table1_row",
-    "target_frame_bloch",
     "von_neumann_entropy",
 ]

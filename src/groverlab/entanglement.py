@@ -6,16 +6,15 @@ versus rest bipartition, and the purity-parameter bound below which a
 mixed-ensemble state is not proven entangled.
 
 The closed forms assume the target frame in which the traced qubit's bit of
-the target index is 1; :func:`target_frame_bloch` maps a raw reduced state
-into that frame for comparison.
+the target index is 1; ``tests/oracles.py`` maps a raw reduced state into
+that frame for comparison.
 """
 
 import math
 
 import numpy as np
 
-from .search import QubitReducedState, SearchInstance, rotation_angle
-from .search import _check_epsilon, _check_iterations, _check_qubit, _check_size
+from .search import SearchInstance, _check_iterations, rotation_angle
 
 BLOCH_SLACK = 1e-12
 
@@ -31,35 +30,18 @@ def _checked_bloch_length(s):
     return np.clip(s, 0.0, 1.0)
 
 
-def bloch_components(N: int, theta) -> np.ndarray:
-    """Bloch vector (s_x, 0, s_z) of one qubit of the rotated search state.
+def bloch_vector(instance: SearchInstance, k) -> np.ndarray:
+    """Closed-form Bloch vector (s_x, 0, s_z) of one qubit after k search iterations.
 
-    Valid for any rotation angle; independent of which qubit is kept and of
-    the target index, in the target frame.  An array of angles gives an
-    array of shape (3, *theta.shape).
+    Independent of which qubit is kept and of the target index, in the
+    target frame.  An array of k gives an array of shape (3, *k.shape).
     """
-    N = _check_size(N)
+    N = instance.N
+    theta = rotation_angle(instance, k)
     c2 = np.cos(theta) ** 2
     s_x = (N - 2) / (N - 1) * c2 + np.sin(2 * theta) / math.sqrt(N - 1)
     s_z = c2 / (N - 1) - np.sin(theta) ** 2
     return np.array([s_x, np.zeros_like(s_x), s_z])
-
-
-def bloch_vector(instance: SearchInstance, k) -> np.ndarray:
-    """Closed-form Bloch vector after k search iterations."""
-    return bloch_components(instance.N, rotation_angle(instance, k))
-
-
-def target_frame_bloch(reduced: QubitReducedState, instance: SearchInstance, ell: int) -> np.ndarray:
-    """Express a traced qubit's Bloch vector in the target frame.
-
-    When bit ``ell`` of the target index is 0 the computational basis of
-    that qubit is relabeled (a bit flip), which negates s_y and s_z.
-    """
-    s = np.array(reduced.bloch, dtype=float)
-    if not (instance.y >> _check_qubit(ell, instance.n)) & 1:
-        s[1:] = -s[1:]
-    return s
 
 
 def von_neumann_entropy(s):
@@ -133,26 +115,3 @@ def requires_entanglement(epsilon, bound):
     exact-completion steps.
     """
     return epsilon > bound + BOUND_DECISION_TOL
-
-
-def projected_singlet_fraction(lambda1: float, lambda2: float, N: int, epsilon: float) -> float:
-    """Singlet fraction of the ensemble state projected onto two levels.
-
-    Builds the normalized 4x4 projection of the mixed ensemble explicitly
-    in the Schmidt basis and returns its overlap with the singlet state.
-    Fractions above 1/2 certify entanglement; solving the 1/2 crossing in
-    epsilon reproduces :func:`separability_bound` and serves as its
-    independent verification route.
-    """
-    if not (0.0 <= lambda1 <= 1.0 and 0.0 <= lambda2 <= 1.0):
-        raise ValueError(f"Schmidt eigenvalues must lie in [0, 1], got {lambda1} and {lambda2}")
-    if abs(lambda1 + lambda2 - 1.0) > 1e-6:
-        raise ValueError("Schmidt eigenvalues must sum to 1")
-    N = _check_size(N)
-    epsilon = _check_epsilon(epsilon)
-    psi = np.array([0.0, math.sqrt(lambda1), -math.sqrt(lambda2), 0.0])
-    rho4 = N / (4.0 + epsilon * (N - 4)) * (
-        (1.0 - epsilon) / N * np.eye(4) + epsilon * np.outer(psi, psi)
-    )
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    return float(singlet @ rho4 @ singlet)

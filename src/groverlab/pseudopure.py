@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import SearchInstance, _check_epsilon, _check_size, rotation_angle
+from .search import SearchInstance, _check_epsilon, rotation_angle
 
 TRACE_ATOL = 1e-10
 
@@ -67,35 +67,11 @@ def direct_pseudo_variance(theta_op, psi, epsilon: float) -> float:
     return second - first**2
 
 
-def projector_deviation_variance(N: int, epsilon: float) -> float:
-    """Ensemble variance of Theta = |psi><psi| - I/N.
-
-    This observable is traceless with zero variance on the pure state
-    itself; on the ensemble the variance is
-    (1-eps) * (1 - 1/N) * [1/N + eps*(1 - 1/N)], which is non-negative for
-    all eps in [0, 1] and vanishes only at eps = 1.
-    """
-    N = _check_size(N)
-    epsilon = _check_epsilon(epsilon)
-    q = 1.0 - 1.0 / N
-    return (1.0 - epsilon) * q * (1.0 / N + epsilon * q)
-
-
 def projector_deviation(psi) -> np.ndarray:
     """The traceless observable |psi><psi| - I/N for a normalized psi."""
     v = np.asarray(psi)
     N = v.shape[0]
     return np.outer(v, v.conj()) - np.eye(N, dtype=v.dtype) / N
-
-
-def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix with its trace removed.
-
-    Intended for reproducible property sweeps; pass a seeded generator.
-    """
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (a + a.conj().T) / 2.0
-    return h - np.trace(h).real / dim * np.eye(dim)
 
 
 @dataclass(frozen=True)

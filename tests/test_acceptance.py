@@ -25,16 +25,14 @@ from groverlab import (
     make_instance,
     partial_trace_single_qubit,
     projector_deviation,
-    projector_deviation_variance,
-    random_traceless_hermitian,
     scan_record,
     separability_bound,
     simulate_statevector,
     table1,
-    target_frame_bloch,
     von_neumann_entropy,
 )
 from groverlab.cli import cli
+from oracles import projector_deviation_variance, random_traceless_hermitian, target_frame_bloch
 
 
 def report(criterion, message):

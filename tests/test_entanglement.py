@@ -5,7 +5,6 @@ import pytest
 
 from groverlab import (
     apply_grover_step,
-    bloch_components,
     bloch_vector,
     epsilon_speedup,
     hs_distance,
@@ -13,14 +12,13 @@ from groverlab import (
     make_instance,
     max_separable_epsilon,
     partial_trace_single_qubit,
-    projected_singlet_fraction,
     requires_entanglement,
     schmidt_product,
     separability_bound,
     simulate_statevector,
-    target_frame_bloch,
     von_neumann_entropy,
 )
+from oracles import projected_singlet_fraction, target_frame_bloch
 
 EPS1_N3 = 1.0 / (1.0 + math.sqrt(3.0))  # closed form at n=3, k=1
 
@@ -50,14 +48,10 @@ class TestBlochVector:
 
     @pytest.mark.parametrize("N", [4, 8, 64, 1024])
     def test_unit_length_at_quarter_turn(self, N):
-        s = bloch_components(N, math.pi / 2)
+        # the uniform state is a product state; each qubit's Bloch vector
+        # points along +x, a quarter turn from |0>
+        s = bloch_vector(make_instance(N.bit_length() - 1), 0)
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("N", [1, 2.5, True, 0])
-    def test_rejects_bad_sizes(self, N):
-        # N = 1 used to divide by zero
-        with pytest.raises(ValueError, match="size"):
-            bloch_components(N, 0.3)
 
     @pytest.mark.parametrize("ell", [True, 1.0, -1, 3])
     def test_target_frame_needs_a_qubit_of_the_instance(self, ell):
@@ -81,6 +75,7 @@ class TestBlochVector:
     def test_never_fully_mixed_during_search(self):
         for n in range(1, 13):
             inst = make_instance(n, 0)
+            # nearest, not completion_step: at n = 2 that step is maximally mixed (|s| = 7.9e-16)
             limit = math.ceil(math.pi / (4 * inst.theta0) - 0.5)
             for k in range(limit + 1):
                 assert np.linalg.norm(bloch_vector(inst, k)) > 1e-6

@@ -15,12 +15,12 @@ from groverlab import (
     partial_trace_single_qubit,
     direct_pseudo_variance,
     fluctuation_report,
-    random_traceless_hermitian,
     rotation_angle,
     simulate_statevector,
     success_probability,
     von_neumann_entropy,
 )
+from oracles import random_traceless_hermitian
 
 bloch_lengths = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

@@ -9,11 +9,10 @@ from groverlab import (
     fluctuation_report,
     make_instance,
     projector_deviation,
-    projector_deviation_variance,
-    random_traceless_hermitian,
     rotation_angle,
     success_probability,
 )
+from oracles import projector_deviation_variance, random_traceless_hermitian
 
 EPS1_N3 = 1.0 / (1.0 + math.sqrt(3.0))
 

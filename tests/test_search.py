@@ -16,11 +16,6 @@ from groverlab import (
 )
 
 
-def pure_span(instance):
-    """Iteration count that completes the rotation, rounded up."""
-    return math.ceil(math.pi / (4.0 * instance.theta0))
-
-
 class TestMakeInstance:
     def test_single_qubit(self):
         inst = make_instance(1, 0)
@@ -106,7 +101,7 @@ class TestClosedFormState:
     def test_amplitude_normalization_identity(self):
         for n in (1, 2, 5, 9):
             inst = make_instance(n, 0)
-            for k in range(0, 3 * pure_span(inst), max(1, pure_span(inst) // 3)):
+            for k in range(0, 3 * inst.completion_step, max(1, inst.completion_step // 3)):
                 v = closed_form_state(inst, k)
                 total = (inst.N - 1) * v[1] ** 2 + v[0] ** 2
                 assert total == pytest.approx(1.0, abs=1e-12)
@@ -242,7 +237,7 @@ class TestSimulateStatevector:
         for n in range(1, 7):
             inst = make_instance(n, inst_target(n))
             v = simulate_statevector(inst, 0)
-            for k in range(2 * pure_span(inst) + 1):
+            for k in range(2 * inst.completion_step + 1):
                 exact = closed_form_state(inst, k)
                 overlap = float(np.dot(v, exact)) ** 2
                 assert overlap >= 1.0 - 1e-10
@@ -252,7 +247,7 @@ class TestSimulateStatevector:
         for n in range(1, 13):
             inst = make_instance(n, 0)
             v = simulate_statevector(inst, 0)
-            for _ in range(4 * pure_span(inst)):
+            for _ in range(4 * inst.completion_step):
                 v = apply_grover_step(v, inst)
                 assert float(v @ v) == pytest.approx(1.0, abs=1e-12)
 
@@ -341,7 +336,7 @@ class TestScalarTargetSymmetry:
     def test_derived_scalars_independent_of_target(self):
         for n in (2, 3, 5):
             inst0 = make_instance(n, 0)
-            k = pure_span(inst0) // 2 + 1
+            k = inst0.completion_step // 2 + 1
             baselines = None
             for y in (0, (1 << n) // 2, (1 << n) - 1):
                 inst = make_instance(n, y)
