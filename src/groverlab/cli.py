@@ -4,7 +4,7 @@ Every command checks its arguments through the library (an invalid
 argument prints one ``Error:`` line and exits with status 2), computes its
 columns in one array pass, and emits them through a single writer.  Floats
 are printed in the shortest form that round-trips, so identical arguments
-always produce byte-identical output.
+give byte-identical output on one CPU and numpy build (see the README).
 """
 
 import contextlib
@@ -248,9 +248,5 @@ def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
     _emit(columns, fmt, output)
 
 
-def main() -> None:
-    cli()
-
-
 if __name__ == "__main__":
-    main()
+    cli()

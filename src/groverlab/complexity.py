@@ -75,7 +75,7 @@ def table1_row(n: int, include_test_query: bool = True) -> ComplexityRow:
     eps = max_separable_epsilon(instance, np.arange(instance.completion_step + 1))
     k_opt, n_pseudo_min = pseudo_queries(instance, eps, include_test_query)
     return ComplexityRow(
-        n=n,
+        n=instance.n,
         N=instance.N,
         k_opt=k_opt,
         n_pseudo_min=n_pseudo_min,
@@ -102,7 +102,7 @@ def epsilon_speedup(instance: SearchInstance) -> tuple[int, float] | None:
     """
     N = instance.N
     k = np.arange(1, instance.completion_step + 1)
-    gain = N * np.sin(rotation_angle(instance, k)) ** 2 - 1.0
+    gain = N * success_probability(instance, k, 1.0) - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         threshold = (N * (k + 1) / classical_queries(N) - 1.0) / gain
     valid = (gain > 0.0) & (threshold > 0.0) & (threshold <= 1.0)
@@ -136,7 +136,7 @@ def scan_record(n: int) -> SpeedupScanRecord:
     instance = make_instance(n)
     found = epsilon_speedup(instance)
     if found is None:
-        raise RuntimeError(f"no speed-up purity exists at n = {n}; scan is undefined")
+        raise ValueError(f"no speed-up purity exists at n = {n}; scan is undefined")
     k_opt, eps_su = found
     k = np.arange(1, k_opt + 1)
     bounds = separability_bound(instance, k)
@@ -144,7 +144,7 @@ def scan_record(n: int) -> SpeedupScanRecord:
     # Only the final step may escape, and only once the rotation is past pi/2.
     past_half_turn = rotation_angle(instance, k_opt) > math.pi / 2.0
     return SpeedupScanRecord(
-        n=n,
+        n=instance.n,
         k_opt=k_opt,
         k=k,
         epsilon_bound=bounds,

@@ -94,8 +94,7 @@ def separability_bound(instance: SearchInstance, k):
     state with purity above eps_k is certainly entangled at step k; at or
     below the bound it is not proven entangled by this criterion.
     """
-    product = np.maximum(schmidt_product(instance, k), 0.0)
-    return 1.0 / (1.0 + instance.N * np.sqrt(product))
+    return 1.0 / (1.0 + instance.N * np.sqrt(schmidt_product(instance, k)))
 
 
 def max_separable_epsilon(instance: SearchInstance, k):

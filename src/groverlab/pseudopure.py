@@ -10,9 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import SearchInstance, _check_epsilon, rotation_angle
+from .search import NORM_ATOL, SearchInstance, _check_epsilon, rotation_angle
 
 TRACE_ATOL = 1e-10
+
+
+def _check_state(psi) -> np.ndarray:
+    """``psi`` as an array if it is a 1-D state vector of unit norm (complex entries allowed)."""
+    v = np.asarray(psi)
+    if v.ndim != 1:
+        raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
+    if abs(np.linalg.norm(v) - 1.0) > NORM_ATOL:
+        raise ValueError("state vector must be normalized")
+    return v
 
 
 def _check_observable(theta_op, psi):
@@ -23,11 +33,9 @@ def _check_observable(theta_op, psi):
         raise ValueError("observable must be Hermitian")
     if abs(complex(np.trace(op))) > TRACE_ATOL:
         raise ValueError(f"observable must be traceless, trace = {np.trace(op)}")
-    v = np.asarray(psi)
+    v = _check_state(psi)
     if v.shape != (op.shape[0],):
         raise ValueError(f"state shape {v.shape} does not match operator dimension {op.shape[0]}")
-    if abs(np.linalg.norm(v) - 1.0) > TRACE_ATOL:
-        raise ValueError("state vector must be normalized")
     return op, v
 
 
@@ -69,7 +77,7 @@ def direct_pseudo_variance(theta_op, psi, epsilon: float) -> float:
 
 def projector_deviation(psi) -> np.ndarray:
     """The traceless observable |psi><psi| - I/N for a normalized psi."""
-    v = np.asarray(psi)
+    v = _check_state(psi)
     N = v.shape[0]
     return np.outer(v, v.conj()) - np.eye(N, dtype=v.dtype) / N
 

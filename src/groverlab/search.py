@@ -233,16 +233,6 @@ class QubitReducedState:
     lambda1: float
     lambda2: float
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "QubitReducedState":
-        m = np.asarray(matrix, dtype=float)
-        # Real symmetric input: s_y = -2 Im(rho_01) vanishes identically.
-        s = np.array([m[0, 1] + m[1, 0], 0.0, m[0, 0] - m[1, 1]])
-        s_len = min(float(np.linalg.norm(s)), 1.0)
-        lam1 = (1.0 + s_len) / 2.0
-        lam2 = max((1.0 - s_len) / 2.0, 0.0)
-        return cls(matrix=m, bloch=s, bloch_length=s_len, lambda1=lam1, lambda2=lam2)
-
 
 def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
     """Trace out all qubits except qubit ``ell`` of a real pure state.
@@ -275,4 +265,13 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
             s00 += x0 @ x0
             s01 += x0 @ x1
             s11 += x1 @ x1
-    return QubitReducedState.from_matrix(np.array([[s00, s01], [s01, s11]]))
+    # Real amplitudes: s_y = -2 Im(rho_01) vanishes identically.
+    bloch = np.array([2.0 * s01, 0.0, s00 - s11])
+    s_len = min(float(np.linalg.norm(bloch)), 1.0)
+    return QubitReducedState(
+        matrix=np.array([[s00, s01], [s01, s11]]),
+        bloch=bloch,
+        bloch_length=s_len,
+        lambda1=(1.0 + s_len) / 2.0,
+        lambda2=(1.0 - s_len) / 2.0,
+    )

@@ -180,6 +180,10 @@ class TestTable:
     def test_accepts_any_integer_type(self):
         assert table1(np.int64(2), np.uint8(3)) == table1(2, 3)
 
+    def test_qubit_count_is_a_plain_int(self):
+        assert type(table1_row(np.int64(3)).n) is int
+        assert type(scan_record(np.int64(3)).n) is int
+
 
 class TestEpsilonSpeedup:
     def test_two_qubit_threshold(self):
@@ -229,6 +233,10 @@ class TestSpeedupScan:
         assert record.entangled_at_k.tolist() == [True]
         assert record.entangled_throughout
         assert not record.last_step_exception
+
+    def test_single_qubit_is_an_invalid_argument(self):
+        with pytest.raises(ValueError, match="no speed-up purity exists at n = 1"):
+            scan_record(1)
 
     def test_initial_state_excluded_from_scan(self):
         # the k = 0 bound is 1, never below any speed-up threshold

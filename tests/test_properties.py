@@ -1,7 +1,5 @@
 """Invariant suites backed by hypothesis where randomness helps."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -80,8 +78,7 @@ def test_success_probability_range(n, k, epsilon):
     # holds for iteration counts within the search span; past the rotation
     # peak the pure success probability drops below uniform guessing
     inst = make_instance(n, 0)
-    span = math.ceil(math.pi / (4 * inst.theta0))
-    p = success_probability(inst, k % (span + 1), epsilon)
+    p = success_probability(inst, k % (inst.completion_step + 1), epsilon)
     assert 1.0 / inst.N - 1e-12 <= p <= 1.0 + 1e-12
 
 

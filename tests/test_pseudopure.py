@@ -145,6 +145,11 @@ class TestPseudoVariance:
         with pytest.raises(ValueError, match="normalized"):
             fluctuation_report(theta, np.ones(4), 0.5)
 
+    @pytest.mark.parametrize("psi", [[1.0, 1.0], [[0.6, 0.8]], 0.5], ids=["unnormalized", "2-D", "0-d"])
+    def test_projector_deviation_rejects_non_states(self, psi):
+        with pytest.raises(ValueError, match="state vector must be"):
+            projector_deviation(psi)
+
 
 class TestProjectorDeviationVariance:
     def test_zero_on_pure_state(self):

@@ -1,26 +1,23 @@
-"""Closed forms against a 60-digit mpmath reference at n = 10, 20, 26, 30.
+"""What ``trace --epsilon 0.3`` prints against a 60-digit mpmath reference at n = 10, 20, 26, 30.
 
 The reference evaluates the paper's formulas from theta0 = asin(2^(-n/2))
-in mpmath and shares no code with groverlab.  Each sweep covers k = 0..5,
+in mpmath and shares no code with groverlab.  The checked values are the
+printed CSV columns of ``trace``, read back as floats (the shortest repr
+round-trips, so they are the computed doubles).  Each sweep covers k = 0..5,
 about 40 evenly spread k, completion_step - 1 and completion_step.
 """
 
+import csv
+import io
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from groverlab import (
-    bloch_vector,
-    linear_entropy,
-    make_instance,
-    rotation_angle,
-    schmidt_product,
-    separability_bound,
-    success_probability,
-    von_neumann_entropy,
-)
+from groverlab import make_instance
+from groverlab.cli import cli
 
 QUBITS = (10, 20, 26, 30)
 EPSILON = 0.3
@@ -58,34 +55,25 @@ def reference(n: int, k: int) -> dict:
         }
 
 
-def computed(instance, k: np.ndarray) -> dict:
-    s_x, _, s_z = bloch_vector(instance, k)
-    s_norm = np.minimum(np.hypot(s_x, s_z), 1.0)
-    return {
-        "theta_k": rotation_angle(instance, k),
-        "s_x": s_x,
-        "s_z": s_z,
-        "success_probability": success_probability(instance, k, EPSILON),
-        "lambda_product": schmidt_product(instance, k),
-        "epsilon_bound": separability_bound(instance, k),
-        "von_neumann_entropy": von_neumann_entropy(s_norm),
-        "linear_entropy": linear_entropy(s_norm),
-    }
+def printed(n: int) -> list[dict]:
+    """The CSV rows of ``trace --qubits n --epsilon EPSILON``; row k is iteration k."""
+    result = CliRunner().invoke(cli, ["trace", "--qubits", str(n), "--epsilon", str(EPSILON)])
+    assert result.exit_code == 0, result.output
+    return list(csv.DictReader(io.StringIO(result.stdout)))
 
 
 @pytest.fixture(scope="module")
 def table():
-    """(n, k, theta_k, name -> (computed, reference)) for every n and k of the sweep."""
-    rows = []
+    """(n, k, theta_k, name -> (printed, reference)) for every n and k of the sweep."""
+    table_rows = []
     for n in QUBITS:
-        instance = make_instance(n)
-        k = sweep(instance)
-        values = computed(instance, k)
-        for i, kk in enumerate(k.tolist()):
-            ref = reference(n, kk)
-            pairs = {name: (float(values[name][i]), ref[name]) for name in ref}
-            rows.append((n, kk, float(ref["theta_k"]), pairs))
-    return rows
+        rows = printed(n)
+        for k in sweep(make_instance(n)).tolist():
+            row, ref = rows[k], reference(n, k)
+            assert int(row["k"]) == k
+            pairs = {name: (float(row[name]), ref[name]) for name in ref}
+            table_rows.append((n, k, float(ref["theta_k"]), pairs))
+    return table_rows
 
 
 def cos_conditioned_rtol(theta: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -330,6 +331,41 @@ class TestPartialTrace:
             partial_trace_single_qubit(v, 0)
         with pytest.raises(ValueError, match="real 1-D"):
             apply_grover_step(v, make_instance(2, 0))
+
+
+class TestMemory:
+    """Peak traced allocations at n = 20, where one amplitude vector is 8 MiB.
+
+    The input vectors are allocated before tracing starts, so only what each
+    call allocates itself is counted.
+    """
+
+    N_QUBITS = 20
+    VECTOR = 8 << 20
+    SLACK = 1 << 20
+
+    @staticmethod
+    def peak_bytes(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_step_holds_one_new_vector(self):
+        inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
+        v = closed_form_state(inst, 3)
+        assert self.peak_bytes(apply_grover_step, v, inst) <= self.VECTOR + self.SLACK
+
+    def test_simulation_holds_two_vectors(self):
+        inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
+        assert self.peak_bytes(simulate_statevector, inst, 4) <= 2 * self.VECTOR + self.SLACK
+
+    def test_partial_trace_stays_below_half_a_vector(self):
+        v = closed_form_state(make_instance(self.N_QUBITS, inst_target(self.N_QUBITS)), 3)
+        for ell in range(self.N_QUBITS):
+            assert self.peak_bytes(partial_trace_single_qubit, v, ell) < self.VECTOR // 2, ell
 
 
 class TestScalarTargetSymmetry:
