@@ -100,7 +100,12 @@ def _emit(columns: dict, fmt: str, output: str | None) -> None:
         # leaves a partial output, and a symlink keeps pointing at its target.
         partial = f"{target}.{os.getpid()}.partial"
         try:
-            with open(partial, "x", encoding="utf-8", newline="") as fh:
+            fh = open(partial, "x", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _InvalidArgument(f"cannot create {partial}: {exc.strerror or exc}") from None
+        # Only a partial file that this run created is removed.
+        try:
+            with fh:
                 fh.write(text)
             os.replace(partial, target)
         finally:

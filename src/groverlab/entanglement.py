@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .search import SearchInstance, _check_iterations, rotation_angle
+from .search import SearchInstance, _check_epsilon, _check_iterations, rotation_angle
 
 BLOCH_SLACK = 1e-12
 
@@ -78,6 +78,7 @@ def schmidt_product(instance: SearchInstance, k):
     zero exactly when the state is a product state across the one-qubit
     versus rest bipartition.
     """
+    k = _check_iterations(k)
     N = instance.N
     theta = rotation_angle(instance, k)
     return (
@@ -113,4 +114,4 @@ def requires_entanglement(epsilon, bound):
     Uses a 1e-12 guard so bounds that are 1 up to rounding do not flag
     exact-completion steps.
     """
-    return epsilon > bound + BOUND_DECISION_TOL
+    return _check_epsilon(epsilon) > bound + BOUND_DECISION_TOL

@@ -10,19 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import NORM_ATOL, SearchInstance, _check_epsilon, rotation_angle
+from .search import SearchInstance, _check_epsilon, _check_state, rotation_angle
 
 TRACE_ATOL = 1e-10
-
-
-def _check_state(psi) -> np.ndarray:
-    """``psi`` as an array if it is a 1-D state vector of unit norm (complex entries allowed)."""
-    v = np.asarray(psi)
-    if v.ndim != 1:
-        raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > NORM_ATOL:
-        raise ValueError("state vector must be normalized")
-    return v
 
 
 def _check_observable(theta_op, psi):

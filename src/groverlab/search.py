@@ -159,15 +159,32 @@ def closed_form_state(instance: SearchInstance, k) -> np.ndarray:
     return v
 
 
+def _check_state(psi) -> np.ndarray:
+    """``psi`` as an array if it is a 1-D state vector of unit norm (complex entries allowed)."""
+    v = np.asarray(psi)
+    if v.ndim != 1:
+        raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
+    deviation = abs(float(np.linalg.norm(v)) - 1.0)
+    if not deviation <= NORM_ATOL:
+        raise ValueError(f"state vector must be normalized (|norm - 1| = {deviation:.1e})")
+    return v
+
+
 def _check_normalized(amplitudes) -> np.ndarray:
     v = np.asarray(amplitudes)
     if v.ndim != 1 or v.dtype.kind == "c":
         raise ValueError(f"amplitudes must be a real 1-D array, got {v.dtype} of shape {v.shape}")
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"amplitude vector is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")
-    return v
+    return _check_state(np.asarray(v, dtype=float))
+
+
+def _grover_steps(w: np.ndarray, instance: SearchInstance, k: int) -> np.ndarray:
+    """Apply k search iterations to the float vector ``w`` in place and return it."""
+    for _ in range(k):
+        w[instance.y] = -w[instance.y]
+        # -(1 - 2|u><u|) w  with u the uniform state: every component of
+        # 2<u|w>|u> equals twice the mean of w.
+        np.subtract(2.0 * w.mean(), w, out=w)
+    return w
 
 
 def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
@@ -177,26 +194,21 @@ def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
     about the uniform superposition, and negates globally.  Equivalently,
     each application advances the rotation angle by 2*theta0.
 
-    The input is copied once and the copy is finished in place, so the
-    caller's array is left untouched and the step holds two amplitude
-    vectors at its peak.
+    The input is checked and one copy of it is reflected in place: the
+    caller's array is left untouched and the step holds two vectors at its peak.
     """
     v = _check_normalized(amplitudes)
     if v.shape != (instance.N,):
         raise ValueError(f"expected {instance.N} amplitudes, got shape {v.shape}")
-    w = v.copy()
-    w[instance.y] = -w[instance.y]
-    # -(1 - 2|u><u|) w  with u the uniform state: every component of
-    # 2<u|w>|u> equals twice the mean of w.
-    np.subtract(2.0 * w.mean(), w, out=w)
-    return w
+    return _grover_steps(v.copy(), instance, 1)
 
 
 def simulate_statevector(instance: SearchInstance, k) -> np.ndarray:
     """Brute-force the state after k iterations, starting from uniform.
 
-    Independent of :func:`closed_form_state`; the two agree to better than
-    1e-10 in squared overlap (this is asserted by the test suite, not here).
+    One uniform vector is reflected in place k times, bit for bit as k calls
+    of :func:`apply_grover_step`.  Independent of :func:`closed_form_state`;
+    the two agree to better than 1e-10 in squared overlap (tested, not here).
 
     Raises
     ------
@@ -204,10 +216,7 @@ def simulate_statevector(instance: SearchInstance, k) -> np.ndarray:
         If k is not one non-negative integer or n exceeds the n <= 24 guard.
     """
     k = _check_statevector_request(instance, k)
-    v = np.full(instance.N, 1.0 / math.sqrt(instance.N))
-    for _ in range(k):
-        v = apply_grover_step(v, instance)
-    return v
+    return _grover_steps(np.full(instance.N, 1.0 / math.sqrt(instance.N)), instance, k)
 
 
 @dataclass(frozen=True, eq=False)

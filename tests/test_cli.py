@@ -103,6 +103,16 @@ class TestTable1Command:
         assert not path.parent.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_leaves_a_partial_file_it_did_not_create(self, tmp_path):
+        path = tmp_path / "report.csv"
+        stale = tmp_path.resolve() / f"report.csv.{os.getpid()}.partial"
+        stale.write_text("another run's rows\n", encoding="utf-8")
+        result = run("bound", "--qubits", "3", "--output", str(path))
+        assert_one_line_error(result)
+        assert stale.name in result.stderr
+        assert stale.read_text(encoding="utf-8") == "another run's rows\n"
+        assert not path.exists()
+
     def test_output_through_a_symlink_writes_its_target(self, tmp_path):
         real = tmp_path / "real.csv"
         real.write_text("stale\n", encoding="utf-8")

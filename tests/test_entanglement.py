@@ -193,9 +193,9 @@ class TestArrayArguments:
     )
     def test_iteration_array_matches_scalar_calls(self, fn):
         inst = make_instance(9, 100)
-        together = fn(inst, self.K)
         one_by_one = np.stack([fn(inst, int(k)) for k in self.K], axis=-1)
-        np.testing.assert_array_max_ulp(together, one_by_one, maxulp=2)
+        for ks in (self.K, self.K.tolist()):
+            np.testing.assert_array_max_ulp(fn(inst, ks), one_by_one, maxulp=2)
 
     @pytest.mark.parametrize("fn", [bloch_vector, schmidt_product, separability_bound, max_separable_epsilon])
     def test_negative_iteration_in_array_rejected(self, fn):
@@ -218,6 +218,11 @@ class TestArrayArguments:
     def test_requires_entanglement_array(self):
         bounds = np.array([0.1, 0.5, 0.5 - 1e-13, 0.9])
         assert requires_entanglement(0.5, bounds).tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize("epsilon", [2.0, math.nan, -0.1])
+    def test_requires_entanglement_rejects_bad_purity(self, epsilon):
+        with pytest.raises(ValueError, match="purity"):
+            requires_entanglement(epsilon, 0.5)
 
 
 class TestProjectedSingletFraction:
