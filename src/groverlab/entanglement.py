@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .search import SearchInstance, _check_epsilon, _check_iterations, rotation_angle
+from .search import SearchInstance, _check_epsilon, _check_iterations, _real_array, rotation_angle
 
 BLOCH_SLACK = 1e-12
 
@@ -24,7 +24,7 @@ BOUND_DECISION_TOL = 1e-12
 
 
 def _checked_bloch_length(s):
-    s = np.asarray(s, dtype=float)
+    s = _real_array(s, "Bloch length")
     if not np.all((s >= -BLOCH_SLACK) & (s <= 1.0 + BLOCH_SLACK)):
         raise ValueError(f"Bloch length must lie in [0, 1], got {s}")
     return np.clip(s, 0.0, 1.0)

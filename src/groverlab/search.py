@@ -21,7 +21,7 @@ MAX_SIMULATOR_QUBITS = 24
 
 NORM_ATOL = 1e-10
 
-# Amplitudes per dot product in the partial trace: 512 KiB, which stays in cache.
+# Amplitudes per chunk of each sum in the partial trace: 512 KiB, which stays in cache.
 _TRACE_CHUNK = 1 << 16
 
 
@@ -111,8 +111,16 @@ def _qubit_range(n_min, n_max, lowest: int, highest: int) -> range:
     return range(lo, hi + 1)
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array if its dtype is an integer or float one (not ``bool``, str or complex)."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be an integer or float, got {x!r}")
+    return arr.astype(float)
+
+
 def _check_epsilon(epsilon):
-    eps = np.asarray(epsilon, dtype=float)
+    eps = _real_array(epsilon, "purity parameter")
     if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError(f"purity parameter must lie in [0, 1], got {epsilon}")
     return eps if eps.ndim else float(eps)
@@ -159,22 +167,28 @@ def closed_form_state(instance: SearchInstance, k) -> np.ndarray:
     return v
 
 
+def _check_unit_norm(norm: float) -> None:
+    """Raise unless ``norm`` lies within NORM_ATOL of 1 (NaN and inf do not)."""
+    deviation = abs(norm - 1.0)
+    if not deviation <= NORM_ATOL:
+        raise ValueError(f"state vector must be normalized (|norm - 1| = {deviation:.1e})")
+
+
 def _check_state(psi) -> np.ndarray:
     """``psi`` as an array if it is a 1-D state vector of unit norm (complex entries allowed)."""
     v = np.asarray(psi)
     if v.ndim != 1:
         raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
-    deviation = abs(float(np.linalg.norm(v)) - 1.0)
-    if not deviation <= NORM_ATOL:
-        raise ValueError(f"state vector must be normalized (|norm - 1| = {deviation:.1e})")
+    _check_unit_norm(float(np.linalg.norm(v)))
     return v
 
 
-def _check_normalized(amplitudes) -> np.ndarray:
+def _real_vector(amplitudes) -> np.ndarray:
+    """``amplitudes`` as a float array if it is real and 1-D; the norm is left to the caller."""
     v = np.asarray(amplitudes)
     if v.ndim != 1 or v.dtype.kind == "c":
         raise ValueError(f"amplitudes must be a real 1-D array, got {v.dtype} of shape {v.shape}")
-    return _check_state(np.asarray(v, dtype=float))
+    return np.asarray(v, dtype=float)
 
 
 def _grover_steps(w: np.ndarray, instance: SearchInstance, k: int) -> np.ndarray:
@@ -197,7 +211,7 @@ def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
     The input is checked and one copy of it is reflected in place: the
     caller's array is left untouched and the step holds two vectors at its peak.
     """
-    v = _check_normalized(amplitudes)
+    v = _check_state(_real_vector(amplitudes))
     if v.shape != (instance.N,):
         raise ValueError(f"expected {instance.N} amplitudes, got shape {v.shape}")
     return _grover_steps(v.copy(), instance, 1)
@@ -250,30 +264,42 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
     of two; qubit ``ell`` is bit ``ell`` of the basis index.
 
     With x0 and x1 the amplitudes whose bit ``ell`` is 0 and 1, the reduced
-    matrix holds the sums x0.x0, x0.x1 and x1.x1.  Each is taken as BLAS dot
-    products over chunks of about 2**16 amplitudes, and the chunk totals are
-    added up.  The chunks stay in cache, and the rounding error grows with
-    the chunk length plus the number of chunks rather than with the length
-    of one long accumulation over N/2 terms.
+    matrix holds the sums x0.x0, x0.x1 and x1.x1.  The vector is read once,
+    through views, in chunks of about 2**16 amplitudes per sum, and the
+    chunk totals are added up: the chunks stay in cache, and the rounding
+    error grows with the chunk length plus the number of chunks rather than
+    with the length of one long accumulation over N/2 terms.  The unit-norm
+    check takes |v|^2 = x0.x0 + x1.x1 from the same sums.
     """
-    v = _check_normalized(amplitudes)
+    v = _real_vector(amplitudes)
     N = v.shape[0]
     n = N.bit_length() - 1
     if N != 1 << n:
         raise ValueError(f"amplitude count must be a power of two, got {N}")
     ell = _check_qubit(ell, n)
-    blocks = v.reshape(N >> (ell + 1), 2, 1 << ell)
-    # Below 2**16 amplitudes per block, a chunk spans several blocks; ravel
-    # then copies the chunk's strided view into one contiguous piece.
+    m = 1 << ell
     rows = max(_TRACE_CHUNK >> ell, 1)
-    s00 = s01 = s11 = 0.0
-    for h in range(0, blocks.shape[0], rows):
-        for lo in range(0, blocks.shape[2], _TRACE_CHUNK):
-            chunk = blocks[h : h + rows, :, lo : lo + _TRACE_CHUNK]
-            x0, x1 = chunk[:, 0].ravel(), chunk[:, 1].ravel()
-            s00 += x0 @ x0
-            s01 += x0 @ x1
-            s11 += x1 @ x1
+    if m < 16:
+        # Rows of one block each, [x0 | x1]: their Gram matrix holds every
+        # product of two positions, and the sums are traces of its blocks.
+        pairs = v.reshape(-1, 2 * m)
+        gram = np.zeros((2 * m, 2 * m))
+        for h in range(0, pairs.shape[0], rows):
+            chunk = pairs[h : h + rows]
+            gram += chunk.T @ chunk
+        s00, s01, s11 = np.trace(gram[:m, :m]), np.trace(gram[:m, m:]), np.trace(gram[m:, m:])
+    else:
+        # One row dot per block and half-block pair, batched over the chunk.
+        blocks = v.reshape(-1, 2, m)
+        s00 = s01 = s11 = 0.0
+        for h in range(0, blocks.shape[0], rows):
+            for lo in range(0, m, _TRACE_CHUNK):
+                chunk = blocks[h : h + rows, :, lo : lo + _TRACE_CHUNK]
+                x0, x1 = chunk[:, :1], chunk[:, 1:]
+                s00 += (x0 @ x0.transpose(0, 2, 1)).sum()
+                s01 += (x0 @ x1.transpose(0, 2, 1)).sum()
+                s11 += (x1 @ x1.transpose(0, 2, 1)).sum()
+    _check_unit_norm(math.sqrt(s00 + s11))
     # Real amplitudes: s_y = -2 Im(rho_01) vanishes identically.
     bloch = np.array([2.0 * s01, 0.0, s00 - s11])
     s_len = min(float(np.linalg.norm(bloch)), 1.0)

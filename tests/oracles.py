@@ -82,6 +82,28 @@ def projector_deviation_variance(N: int, epsilon: float) -> float:
     return (1.0 - epsilon) * q * (1.0 / N + epsilon * q)
 
 
+def reduced_matrix(v, ell) -> np.ndarray:
+    """2x2 reduced density matrix of qubit ``ell`` of a real state vector.
+
+    Qubit ``ell`` is bit ``ell`` of the basis index.  Each entry is the
+    exactly rounded sum (``math.fsum``) of the rounded products of the
+    amplitudes whose bit ``ell`` is 0 or 1, so its own error is about one
+    ulp of the entry.
+    """
+    v = np.asarray(v)
+    if v.ndim != 1 or v.dtype.kind not in "iuf":
+        raise ValueError(f"amplitudes must be a real 1-D array, got {v.dtype} of shape {v.shape}")
+    if v.size < 2 or v.size & (v.size - 1):
+        raise ValueError(f"amplitude count must be a power of two, got {v.size}")
+    n = v.size.bit_length() - 1
+    if not _is_integer(ell) or not 0 <= ell < n:
+        raise ValueError(f"qubit index must be an integer in [0, {n}), got {ell}")
+    halves = v.astype(float).reshape(-1, 2, 1 << int(ell))
+    x0, x1 = halves[:, 0].ravel(), halves[:, 1].ravel()
+    s00, s01, s11 = math.fsum(x0 * x0), math.fsum(x0 * x1), math.fsum(x1 * x1)
+    return np.array([[s00, s01], [s01, s11]])
+
+
 def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with its trace removed.
 

@@ -16,6 +16,7 @@ from groverlab import (
     schmidt_product,
     separability_bound,
     simulate_statevector,
+    success_probability,
     von_neumann_entropy,
 )
 from oracles import projected_singlet_fraction, target_frame_bloch
@@ -223,6 +224,32 @@ class TestArrayArguments:
     def test_requires_entanglement_rejects_bad_purity(self, epsilon):
         with pytest.raises(ValueError, match="purity"):
             requires_entanglement(epsilon, 0.5)
+
+    @pytest.mark.parametrize("x", [True, "0.5", np.array(["0.1"])], ids=["bool", "str", "str-array"])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: success_probability(make_instance(4), 1, x),
+            lambda x: requires_entanglement(x, 0.5),
+            von_neumann_entropy,
+            linear_entropy,
+            hs_distance,
+        ],
+        ids=["success_probability", "requires_entanglement", "von_neumann_entropy", "linear_entropy", "hs_distance"],
+    )
+    def test_purities_and_bloch_lengths_are_numbers(self, fn, x):
+        # each used to be converted with dtype=float: True became 1.0 and '0.5' became 0.5
+        with pytest.raises(ValueError, match="integer or float"):
+            fn(x)
+
+    def test_integer_purities_and_bloch_lengths(self):
+        inst = make_instance(4)
+        for x in (0, 1):
+            assert success_probability(inst, 1, x) == success_probability(inst, 1, float(x))
+            assert requires_entanglement(x, 0.5) == requires_entanglement(float(x), 0.5)
+            for fn in (von_neumann_entropy, linear_entropy, hs_distance):
+                assert fn(x) == fn(float(x))
+                assert fn(np.array([x], dtype=np.uint8)) == fn(float(x))
 
 
 class TestProjectedSingletFraction:

@@ -15,6 +15,7 @@ from groverlab import (
     schmidt_product,
     simulate_statevector,
 )
+from oracles import reduced_matrix
 
 
 class TestMakeInstance:
@@ -320,6 +321,40 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace_single_qubit(np.ones(4), 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17, 18])
+    def test_matches_oracle_on_random_states(self, n):
+        # Grover states are symmetric in every qubit, random ones are not, so a
+        # block or trace mix-up shows.  Qubits 0-3 take the Gram-matrix path,
+        # 4 and up the row dots; at n = 17 and 18 a chunk of 2**16 amplitudes
+        # per sum spans many blocks (ell < 16), exactly one (16) and half of
+        # one (17).
+        v = np.random.default_rng(n).standard_normal(1 << n)
+        v /= np.linalg.norm(v)
+        for ell in range(n):
+            reduced = partial_trace_single_qubit(v, ell)
+            np.testing.assert_allclose(reduced.matrix, reduced_matrix(v, ell), rtol=0, atol=1e-14, err_msg=f"{ell}")
+
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            (np.where(np.arange(32) == 7, np.nan, 32**-0.5), "normalized"),
+            (np.where(np.arange(32) == 7, np.inf, 32**-0.5), "normalized"),
+            (np.where(np.arange(32) == 7, -np.inf, 32**-0.5), "normalized"),
+            (np.full(32, 0.5), "normalized"),
+            (np.full(32, 32**-0.5 + 0j), "real 1-D"),
+            (np.full((2, 16), 32**-0.5), "real 1-D"),
+            (np.full(3, 3**-0.5), "power of two"),
+        ],
+        ids=["nan", "inf", "-inf", "unnormalized", "complex", "matrix", "length-3"],
+    )
+    def test_rejections_name_the_fault(self, v, message):
+        # qubits 0-3 and 4 take the two different paths to the sums
+        for ell in (0, 3, 4):
+            with pytest.raises(ValueError, match=message):
+                partial_trace_single_qubit(v, ell)
+        with pytest.raises(ValueError, match="qubit index"):
+            partial_trace_single_qubit(np.full(32, 32**-0.5), 5)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("n", range(16, 21))
     def test_brute_force_matches_closed_form_at_completion(self, n):
@@ -375,10 +410,10 @@ class TestMemory:
         inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
         assert self.peak_bytes(simulate_statevector, inst, 4) <= self.VECTOR + self.SLACK
 
-    def test_partial_trace_stays_below_half_a_vector(self):
+    def test_partial_trace_stays_below_one_mib(self):
         v = closed_form_state(make_instance(self.N_QUBITS, inst_target(self.N_QUBITS)), 3)
         for ell in range(self.N_QUBITS):
-            assert self.peak_bytes(partial_trace_single_qubit, v, ell) < self.VECTOR // 2, ell
+            assert self.peak_bytes(partial_trace_single_qubit, v, ell) <= self.SLACK, ell
 
 
 class TestScalarTargetSymmetry:
