@@ -184,9 +184,9 @@ def _check_state(psi) -> np.ndarray:
 
 
 def _real_vector(amplitudes) -> np.ndarray:
-    """``amplitudes`` as a float array if it is real and 1-D; the norm is left to the caller."""
+    """``amplitudes`` as a float array if it is 1-D of an integer or float dtype; the norm is left to the caller."""
     v = np.asarray(amplitudes)
-    if v.ndim != 1 or v.dtype.kind == "c":
+    if v.ndim != 1 or v.dtype.kind not in "iuf":
         raise ValueError(f"amplitudes must be a real 1-D array, got {v.dtype} of shape {v.shape}")
     return np.asarray(v, dtype=float)
 
@@ -280,8 +280,9 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
     m = 1 << ell
     rows = max(_TRACE_CHUNK >> ell, 1)
     if m < 16:
-        # Rows of one block each, [x0 | x1]: their Gram matrix holds every
-        # product of two positions, and the sums are traces of its blocks.
+        # Row dots this short cost more in calls than in arithmetic.  The
+        # Gram matrix of the block rows [x0 | x1] takes 2m products per
+        # amplitude, and the three sums are traces of its blocks.
         pairs = v.reshape(-1, 2 * m)
         gram = np.zeros((2 * m, 2 * m))
         for h in range(0, pairs.shape[0], rows):

@@ -341,19 +341,16 @@ class TestPartialTrace:
             (np.where(np.arange(32) == 7, np.inf, 32**-0.5), "normalized"),
             (np.where(np.arange(32) == 7, -np.inf, 32**-0.5), "normalized"),
             (np.full(32, 0.5), "normalized"),
-            (np.full(32, 32**-0.5 + 0j), "real 1-D"),
-            (np.full((2, 16), 32**-0.5), "real 1-D"),
             (np.full(3, 3**-0.5), "power of two"),
         ],
-        ids=["nan", "inf", "-inf", "unnormalized", "complex", "matrix", "length-3"],
+        ids=["nan", "inf", "-inf", "unnormalized", "length-3"],
     )
     def test_rejections_name_the_fault(self, v, message):
-        # qubits 0-3 and 4 take the two different paths to the sums
+        # qubits 0-3 and 4 take the two different paths to the sums, and the
+        # norm is checked on those sums
         for ell in (0, 3, 4):
             with pytest.raises(ValueError, match=message):
                 partial_trace_single_qubit(v, ell)
-        with pytest.raises(ValueError, match="qubit index"):
-            partial_trace_single_qubit(np.full(32, 32**-0.5), 5)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", range(16, 21))
@@ -372,9 +369,14 @@ class TestPartialTrace:
             expected = [[diagonal[0], off], [off, diagonal[1]]]
             np.testing.assert_allclose(partial_trace_single_qubit(v, ell).matrix, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("v", [np.full(4, 0.5 + 0j), np.full((2, 2), 0.5)], ids=["complex", "matrix"])
+    @pytest.mark.parametrize(
+        "v",
+        [np.full(4, 0.5 + 0j), np.full((2, 2), 0.5), np.full(4, "0.5"), np.array([True, False, False, False])],
+        ids=["complex", "matrix", "str", "bool"],
+    )
     def test_amplitudes_are_a_real_vector(self, v):
-        # a complex vector used to be cast to real with a ComplexWarning, a matrix to fail in reshape
+        # a complex vector used to be cast to real with a ComplexWarning, a matrix to fail in reshape,
+        # and strings and bools to be converted to floats
         with pytest.raises(ValueError, match="real 1-D"):
             partial_trace_single_qubit(v, 0)
         with pytest.raises(ValueError, match="real 1-D"):
