@@ -31,9 +31,12 @@ from .pseudopure import (
     projector_deviation,
     success_probability,
 )
-from .search import closed_form_state, make_instance, rotation_angle
+from .search import _bounded_int, closed_form_state, make_instance, rotation_angle
 
 FORMAT_CHOICE = click.Choice(["csv", "json"])
+OUTPUT_OPTION = click.option(
+    "--output", type=click.Path(dir_okay=False), default=None, help="Write to file instead of stdout."
+)
 
 # Dense-matrix verification in the fluctuations report caps the dimension.
 MAX_FLUCTUATION_QUBITS = 8
@@ -132,7 +135,7 @@ def cli() -> None:
 @click.option("--min-qubits", type=int, default=1, show_default=True, help="Smallest qubit count.")
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to file instead of stdout.")
+@OUTPUT_OPTION
 @click.option(
     "--include-final-test-query",
     type=bool,
@@ -152,7 +155,7 @@ def cmd_table1(min_qubits, max_qubits, fmt, output, include_final_test_query) ->
 @click.option("--target", type=int, default=None, help="Target index; defaults to 2^n - 1.")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Purity parameter.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@OUTPUT_OPTION
 def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
     """Per-iteration entanglement diagnostics of the search at purity eps.
 
@@ -186,7 +189,7 @@ def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
 @cli.command("bound")
 @click.option("--qubits", type=int, required=True, help="Qubit count n.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@OUTPUT_OPTION
 def cmd_bound(qubits, fmt, output) -> None:
     """Separability bound per iteration with its running minimum."""
     with _library_checks():
@@ -197,9 +200,9 @@ def cmd_bound(qubits, fmt, output) -> None:
 
 @cli.command("scan")
 @click.option("--min-qubits", type=int, required=True, help="Smallest qubit count (> 2).")
-@click.option("--max-qubits", type=int, required=True, help="Largest qubit count (<= 20).")
+@click.option("--max-qubits", type=int, required=True, help="Largest qubit count (<= 30).")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@OUTPUT_OPTION
 def cmd_scan(min_qubits, max_qubits, fmt, output) -> None:
     """Speed-up purity threshold versus per-step separability bounds.
 
@@ -227,7 +230,7 @@ def cmd_scan(min_qubits, max_qubits, fmt, output) -> None:
 @click.option("--qubits", type=int, required=True, help=f"Qubit count n (<= {MAX_FLUCTUATION_QUBITS}).")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Purity parameter.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@OUTPUT_OPTION
 def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
     """Ensemble-variance identity for the projector-deviation observable.
 
@@ -235,10 +238,8 @@ def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
     numbers depend only on N and eps.  Reports the closed-form ensemble
     variance next to the direct dense-matrix value.
     """
-    if qubits > MAX_FLUCTUATION_QUBITS:
-        raise _InvalidArgument(f"qubit count must be at most {MAX_FLUCTUATION_QUBITS}, got {qubits}")
     with _library_checks():
-        instance = make_instance(qubits)
+        instance = make_instance(_bounded_int(qubits, 1, MAX_FLUCTUATION_QUBITS, "qubit count"))
         psi = closed_form_state(instance, 0)
         theta_op = projector_deviation(psi)
         report = fluctuation_report(theta_op, psi, epsilon)

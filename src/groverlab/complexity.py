@@ -13,9 +13,7 @@ import numpy as np
 
 from .entanglement import max_separable_epsilon, requires_entanglement, separability_bound
 from .pseudopure import success_probability
-from .search import MAX_INSTANCE_QUBITS, SearchInstance, _check_size, _qubit_range, make_instance, rotation_angle
-
-MAX_SCAN_QUBITS = 20
+from .search import SearchInstance, _bounded_int, _qubit_range, make_instance, rotation_angle
 
 
 def classical_queries(N: int) -> float:
@@ -25,7 +23,7 @@ def classical_queries(N: int) -> float:
     gives expectation (N+2)(N-1)/(2N) over a uniformly placed target.  Any
     integer type is accepted (``bool`` is not).
     """
-    N = _check_size(N)
+    N = _bounded_int(N, 2, math.inf, "size")
     return (N + 2) * (N - 1) / (2.0 * N)
 
 
@@ -87,7 +85,7 @@ def table1_row(n: int, include_test_query: bool = True) -> ComplexityRow:
 
 def table1(n_min: int, n_max: int, include_test_query: bool = True) -> list[ComplexityRow]:
     """Rows for every qubit count in [n_min, n_max]."""
-    return [table1_row(n, include_test_query) for n in _qubit_range(n_min, n_max, 1, MAX_INSTANCE_QUBITS)]
+    return [table1_row(n, include_test_query) for n in _qubit_range(n_min, n_max, 1)]
 
 
 def epsilon_speedup(instance: SearchInstance) -> tuple[int, float] | None:
@@ -141,8 +139,9 @@ def scan_record(n: int) -> SpeedupScanRecord:
     k = np.arange(1, k_opt + 1)
     bounds = separability_bound(instance, k)
     entangled = requires_entanglement(eps_su, bounds)
-    # Only the final step may escape, and only once the rotation is past pi/2.
-    past_half_turn = rotation_angle(instance, k_opt) > math.pi / 2.0
+    # Only the final step may escape, once the rotation is within 1e-12 of pi/2 or past it:
+    # theta_1 = 3*asin(1/2) at n = 2 is pi/2 up to rounding; theta_k_opt <= 0.81*pi/2 for n = 3..30.
+    at_quarter_turn = rotation_angle(instance, k_opt) >= math.pi / 2.0 - 1e-12
     return SpeedupScanRecord(
         n=instance.n,
         k_opt=k_opt,
@@ -150,11 +149,11 @@ def scan_record(n: int) -> SpeedupScanRecord:
         epsilon_bound=bounds,
         epsilon_speedup=eps_su,
         entangled_at_k=entangled,
-        entangled_throughout=bool(entangled[:-1].all() and (entangled[-1] or past_half_turn)),
-        last_step_exception=bool(past_half_turn and not entangled[-1]),
+        entangled_throughout=bool(entangled[:-1].all() and (entangled[-1] or at_quarter_turn)),
+        last_step_exception=bool(at_quarter_turn and not entangled[-1]),
     )
 
 
 def speedup_entanglement_scan(n_min: int, n_max: int) -> list[SpeedupScanRecord]:
-    """Scan records for every qubit count in [3, 20]."""
-    return [scan_record(n) for n in _qubit_range(n_min, n_max, 3, MAX_SCAN_QUBITS)]
+    """Scan records for every qubit count in [n_min, n_max], within [3, 30]."""
+    return [scan_record(n) for n in _qubit_range(n_min, n_max, 3)]

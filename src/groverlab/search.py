@@ -54,14 +54,15 @@ class SearchInstance:
         return math.ceil(math.pi / (4.0 * self.theta0) - 1e-9)
 
 
-def _as_int(value) -> int | None:
-    """``value`` as a plain int if it is an integer other than a bool."""
-    if isinstance(value, bool):
-        return None
+def _bounded_int(value, lo: int, hi: float, what: str) -> int:
+    """``value`` as a plain int if it is an integer lo <= value <= hi of any type but ``bool``."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        return None
+        number = None
+    if number is None or isinstance(value, bool) or not lo <= number <= hi:
+        raise ValueError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
+    return number
 
 
 def _check_iterations(k) -> np.ndarray:
@@ -85,30 +86,10 @@ def _check_statevector_request(instance: SearchInstance, k) -> int:
     return int(k_arr)
 
 
-def _check_qubit(ell, n: int) -> int:
-    """``ell`` as a plain int if it is an integer qubit index 0 <= ell < n (not ``bool``)."""
-    ell_int = _as_int(ell)
-    if ell_int is None or not 0 <= ell_int < n:
-        raise ValueError(f"qubit index must be an integer in [0, {n}), got {ell}")
-    return ell_int
-
-
-def _check_size(N) -> int:
-    """``N`` as a plain int if it is an integer >= 2 (not ``bool``)."""
-    N_int = _as_int(N)
-    if N_int is None or N_int < 2:
-        raise ValueError(f"size must be an integer >= 2, got {N}")
-    return N_int
-
-
-def _qubit_range(n_min, n_max, lowest: int, highest: int) -> range:
-    """Qubit counts n_min..n_max once integers with lowest <= n_min <= n_max <= highest."""
-    lo, hi = _as_int(n_min), _as_int(n_max)
-    if lo is None or hi is None or not lowest <= lo <= hi <= highest:
-        raise ValueError(
-            f"qubit range must satisfy {lowest} <= n_min <= n_max <= {highest}, got [{n_min}, {n_max}]"
-        )
-    return range(lo, hi + 1)
+def _qubit_range(n_min, n_max, lowest: int) -> range:
+    """Qubit counts n_min..n_max once integers with lowest <= n_min <= n_max <= MAX_INSTANCE_QUBITS."""
+    n_min = _bounded_int(n_min, lowest, MAX_INSTANCE_QUBITS, "n_min")
+    return range(n_min, _bounded_int(n_max, n_min, MAX_INSTANCE_QUBITS, "n_max") + 1)
 
 
 def _real_array(x, what: str) -> np.ndarray:
@@ -137,14 +118,10 @@ def make_instance(n: int, y: int | None = None) -> SearchInstance:
     ValueError
         If n is outside [1, 30] or y outside [0, 2**n).
     """
-    n_int = _as_int(n)
-    if n_int is None or not 1 <= n_int <= MAX_INSTANCE_QUBITS:
-        raise ValueError(f"qubit count must be an integer in [1, {MAX_INSTANCE_QUBITS}], got {n}")
-    N = 1 << n_int
-    y_int = N - 1 if y is None else _as_int(y)
-    if y_int is None or not 0 <= y_int < N:
-        raise ValueError(f"target index must be an integer in [0, {N}), got {y}")
-    return SearchInstance(n=n_int, N=N, y=y_int, theta0=math.asin(1.0 / math.sqrt(N)))
+    n = _bounded_int(n, 1, MAX_INSTANCE_QUBITS, "qubit count")
+    N = 1 << n
+    y = N - 1 if y is None else _bounded_int(y, 0, N - 1, "target index")
+    return SearchInstance(n=n, N=N, y=y, theta0=math.asin(1.0 / math.sqrt(N)))
 
 
 def rotation_angle(instance: SearchInstance, k):
@@ -276,7 +253,7 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
     n = N.bit_length() - 1
     if N != 1 << n:
         raise ValueError(f"amplitude count must be a power of two, got {N}")
-    ell = _check_qubit(ell, n)
+    ell = _bounded_int(ell, 0, n - 1, "qubit index")
     m = 1 << ell
     rows = max(_TRACE_CHUNK >> ell, 1)
     if m < 16:

@@ -118,11 +118,11 @@ def test_criterion_4_two_qubit_threshold():
 
 def test_criterion_5_no_speedup_under_separability():
     start = time.perf_counter()
-    for row in table1(3, 20):
+    for row in table1(3, 30):
         assert row.n_pseudo_min >= row.n_class, f"speed-up leaked at n={row.n}"
         assert not row.speedup
     exceptions = []
-    for n in range(3, 21):
+    for n in range(3, 31):
         record = scan_record(n)
         assert record.entangled_throughout, f"separable step found at n={n}"
         if record.last_step_exception:
@@ -131,7 +131,7 @@ def test_criterion_5_no_speedup_under_separability():
     assert elapsed < 10.0, f"scan took {elapsed:.3f}s"
     report(
         5,
-        f"no separable speed-up for n=3..20; entanglement required every step "
+        f"no separable speed-up for n=3..30; entanglement required every step "
         f"(final-step exceptions: {exceptions or 'none'}) in {elapsed:.2f}s",
     )
 

@@ -232,6 +232,10 @@ class TestScanCommand:
         assert float(rows[0]["epsilon_speedup"]) == pytest.approx(0.5061224489795919, abs=1e-9)
         assert float(rows[0]["epsilon_bound"]) == pytest.approx(0.36602540378443865, abs=1e-9)
 
+    def test_whole_instance_range(self):
+        result = ok("scan", "--min-qubits", "3", "--max-qubits", "30")
+        assert result.stderr.endswith("for every n (no final-step exceptions)\n")
+
     def test_json_round_trip(self):
         result = ok("scan", "--min-qubits", "3", "--max-qubits", "4", "--format", "json")
         records = json.loads(result.stdout)
@@ -242,7 +246,7 @@ class TestScanCommand:
         "args",
         [
             ("scan", "--min-qubits", "2", "--max-qubits", "5"),
-            ("scan", "--min-qubits", "3", "--max-qubits", "21"),
+            ("scan", "--min-qubits", "3", "--max-qubits", "31"),
             ("scan", "--min-qubits", "6", "--max-qubits", "4"),
         ],
     )
@@ -269,8 +273,10 @@ class TestFluctuationsCommand:
         assert float(rows[0]["trace_theta_sq_over_N"]) == pytest.approx(0.1875, abs=1e-14)
 
     def test_argument_errors_exit_two(self):
-        assert_one_line_error(run("fluctuations", "--qubits", "9"))
-        assert_one_line_error(run("fluctuations", "--qubits", "0"))
+        for qubits in ("9", "0"):
+            result = run("fluctuations", "--qubits", qubits)
+            assert_one_line_error(result)
+            assert "qubit count must be an integer in [1, 8]" in result.stderr
         assert_one_line_error(run("fluctuations", "--qubits", "2", "--epsilon", "-0.2"))
 
 
@@ -292,6 +298,11 @@ def test_json_is_laid_out_like_json_dumps_and_matches_csv(args):
     assert [list(record) for record in records] == [header] * len(rows)
     as_csv = [{key: json.dumps(value) for key, value in record.items()} for record in records]
     assert as_csv == rows
+
+
+@pytest.mark.parametrize("command", ["table1", "trace", "bound", "scan", "fluctuations"])
+def test_output_option_is_documented(command):
+    assert "Write to file instead of stdout." in ok(command, "--help").stdout
 
 
 class TestDeterminism:

@@ -234,6 +234,15 @@ class TestSpeedupScan:
         assert record.entangled_throughout
         assert not record.last_step_exception
 
+    def test_two_qubit_record(self):
+        # theta_1 = 3*asin(1/2) is exactly pi/2: the one step completes the
+        # search, its bound is 1 and it escapes as the final step
+        record = scan_record(2)
+        assert record.k_opt == 1
+        assert record.epsilon_speedup == pytest.approx(23.0 / 27.0, abs=1e-12)
+        assert record.entangled_throughout
+        assert record.last_step_exception
+
     def test_single_qubit_is_an_invalid_argument(self):
         with pytest.raises(ValueError, match="no speed-up purity exists at n = 1"):
             scan_record(1)
@@ -247,7 +256,7 @@ class TestSpeedupScan:
         for record in speedup_entanglement_scan(3, 20):
             assert record.entangled_throughout
 
-    @pytest.mark.parametrize("span", [(2, 5), (3, 21), (6, 4), (3.5, 5), (3, 5.0), (3, True)])
+    @pytest.mark.parametrize("span", [(2, 5), (3, 31), (6, 4), (3.5, 5), (3, 5.0), (3, True)])
     def test_rejects_bad_ranges(self, span):
         with pytest.raises(ValueError):
             speedup_entanglement_scan(*span)
@@ -312,6 +321,45 @@ class TestSweepRange:
         assert k_best <= inst.completion_step
         k_opt, threshold = epsilon_speedup(inst)
         assert (k_opt, threshold) == (k_best, pytest.approx(thresholds[k_best], rel=1e-12))
+
+
+class TestScanPastTwenty:
+    """Scan rows for n = 21..30 against ``math`` alone, as in :class:`TestSweepRange`."""
+
+    @staticmethod
+    def oracle(n):
+        N = 2**n
+        theta0 = math.asin(1.0 / math.sqrt(N))
+        n_class = (N + 2) * (N - 1) / (2.0 * N)
+        thresholds = {}
+        # k runs to the first step whose rotation beyond the start, 2k*theta0, reaches pi/2
+        for k in range(1, math.ceil(math.pi / (4.0 * theta0)) + 1):
+            gain = N * math.sin((2 * k + 1) * theta0) ** 2 - 1.0
+            if gain > 0.0 and 0.0 < (N * (k + 1) / n_class - 1.0) / gain <= 1.0:
+                thresholds[k] = (N * (k + 1) / n_class - 1.0) / gain
+        k_opt = min(thresholds, key=thresholds.__getitem__)
+        scale = N * (N - 2) / (2.0 * (N - 1) ** 2)
+        bounds = [
+            1.0 / (1.0 + N * math.sqrt(scale * math.sin(2 * k * theta0) ** 2 * math.cos((2 * k + 1) * theta0) ** 2))
+            for k in range(1, k_opt + 1)
+        ]
+        return k_opt, thresholds[k_opt], bounds
+
+    @pytest.mark.parametrize("n", range(21, 31))
+    def test_rows_match_oracle(self, n):
+        k_opt, eps_su, bounds = self.oracle(n)
+        record = scan_record(n)
+        assert record.k_opt == k_opt
+        assert record.k.tolist() == list(range(1, k_opt + 1))
+        assert record.epsilon_speedup == pytest.approx(eps_su, rel=1e-12)
+        assert record.epsilon_bound.tolist() == pytest.approx(bounds, rel=1e-12)
+        assert record.entangled_at_k.tolist() == [eps_su > b + 1e-12 for b in bounds]
+        assert record.entangled_throughout
+        assert not record.last_step_exception
+        # the margin below the threshold is about 49% of it from n = 16 on, so
+        # a loss of precision shows long before it nears the 1e-12 decision guard
+        margin = (record.epsilon_speedup - record.epsilon_bound[:-1]).min()
+        assert margin >= 0.4 * record.epsilon_speedup
 
 
 class TestAffinity:

@@ -7,6 +7,7 @@ import pytest
 
 from groverlab import (
     apply_grover_step,
+    classical_queries,
     closed_form_state,
     make_instance,
     max_separable_epsilon,
@@ -14,6 +15,8 @@ from groverlab import (
     rotation_angle,
     schmidt_product,
     simulate_statevector,
+    speedup_entanglement_scan,
+    table1,
 )
 from oracles import reduced_matrix
 
@@ -444,3 +447,33 @@ class TestScalarTargetSymmetry:
         limit = math.ceil(math.pi / (4 * inst.theta0) - 0.5)
         angles = [rotation_angle(inst, k) for k in range(limit + 1)]
         assert all(b > a for a, b in zip(angles, angles[1:]))
+
+
+# Each integer input: the call, a legal value, out-of-range values, and the
+# name its error message gives.
+INTEGER_INPUTS = {
+    "make_instance n": (make_instance, 3, (0, 31), "qubit count"),
+    "make_instance y": (lambda y: make_instance(3, y), 5, (-1, 8), "target index"),
+    "qubit index": (lambda ell: partial_trace_single_qubit(np.full(8, 8**-0.5), ell), 2, (-1, 3), "qubit index"),
+    "classical size": (classical_queries, 8, (1, -4), "size"),
+    "table1 n_min": (lambda n: table1(n, 4), 2, (0, 31), "n_min"),
+    "table1 n_max": (lambda n: table1(2, n), 4, (1, 31), "n_max"),
+    "scan n_min": (lambda n: speedup_entanglement_scan(n, 4), 3, (2, 31), "n_min"),
+    "scan n_max": (lambda n: speedup_entanglement_scan(3, n), 4, (2, 31), "n_max"),
+}
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("name", sorted(INTEGER_INPUTS))
+    def test_accepts_numpy_integers(self, name):
+        call, good, _, _ = INTEGER_INPUTS[name]
+        for value in (good, np.int64(good), np.uint8(good)):
+            call(value)
+
+    @pytest.mark.parametrize("name", sorted(INTEGER_INPUTS))
+    def test_rejects_bools_non_integers_and_out_of_range(self, name):
+        # one message shape names the input and its closed interval
+        call, good, out_of_range, what = INTEGER_INPUTS[name]
+        for value in (True, False, float(good), str(good), *out_of_range):
+            with pytest.raises(ValueError, match=rf"^{what} must be an integer in \[-?\d+, (\d+|inf)\], got "):
+                call(value)
