@@ -21,8 +21,9 @@ MAX_SIMULATOR_QUBITS = 24
 
 NORM_ATOL = 1e-10
 
-# Amplitudes per chunk of each sum in the partial trace: 512 KiB, which stays in cache.
-_TRACE_CHUNK = 1 << 16
+# Amplitudes per chunk of each sum in the search step and the partial trace:
+# 512 KiB, which stays in cache.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,13 +169,57 @@ def _real_vector(amplitudes) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _flipped_sum(chunk: np.ndarray, at: int) -> float:
+    """Sum of ``chunk`` with entry ``at`` negated; a copy is negated, and only if ``at`` lies in it."""
+    if 0 <= at < chunk.shape[0]:
+        chunk = chunk.copy()
+        chunk[at] = -chunk[at]
+    return float(chunk.sum())
+
+
+def _pairwise(sums: list[float]) -> float:
+    """Total of a power-of-two count of sums, added in pairs, level by level.
+
+    For the chunk sums of a vector of 2**n entries this is the order in which
+    numpy's pairwise summation adds the whole vector, so the total is the
+    same float as ``vector.sum()``.
+    """
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+def _step_sums(v: np.ndarray, y: int) -> tuple[float, float]:
+    """|v|^2 and the sum of v with entry y negated, from one chunked read of v."""
+    squares, flipped = 0.0, []
+    for lo in range(0, v.shape[0], _CHUNK):
+        chunk = v[lo : lo + _CHUNK]
+        squares += float(chunk @ chunk)
+        flipped.append(_flipped_sum(chunk, y - lo))
+    return squares, _pairwise(flipped)
+
+
 def _grover_steps(w: np.ndarray, instance: SearchInstance, k: int) -> np.ndarray:
-    """Apply k search iterations to the float vector ``w`` in place and return it."""
+    """Apply k search iterations to the float vector ``w`` in place and return it.
+
+    Each step is one read-write pass: every chunk is reflected, and its
+    flipped sum, which the next step needs, is taken while the chunk is in
+    cache.  The chunk sums and their total are those of
+    :func:`apply_grover_step`, so k steps here are bit for bit k public steps.
+    """
+    N, y = instance.N, instance.y
+    flipped = _step_sums(w, y)[1] if k else 0.0
     for _ in range(k):
-        w[instance.y] = -w[instance.y]
-        # -(1 - 2|u><u|) w  with u the uniform state: every component of
-        # 2<u|w>|u> equals twice the mean of w.
-        np.subtract(2.0 * w.mean(), w, out=w)
+        two_mean = 2.0 * (flipped / N)
+        target = w[y]
+        sums = []
+        for lo in range(0, N, _CHUNK):
+            chunk = w[lo : lo + _CHUNK]
+            np.subtract(two_mean, chunk, out=chunk)
+            if lo <= y < lo + _CHUNK:
+                chunk[y - lo] = two_mean + target
+            sums.append(_flipped_sum(chunk, y - lo))
+        flipped = _pairwise(sums)
     return w
 
 
@@ -185,13 +230,22 @@ def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
     about the uniform superposition, and negates globally.  Equivalently,
     each application advances the rotation angle by 2*theta0.
 
-    The input is checked and one copy of it is reflected in place: the
-    caller's array is left untouched and the step holds two vectors at its peak.
+    The input is read once, in chunks of 2**16 amplitudes, for its sum of
+    squares (the unit-norm check) and its sum with the target negated; the
+    output is then written once, into a new array.  The caller's array is
+    left untouched, and the step holds two vectors at its peak.
     """
-    v = _check_state(_real_vector(amplitudes))
+    v = _real_vector(amplitudes)
     if v.shape != (instance.N,):
         raise ValueError(f"expected {instance.N} amplitudes, got shape {v.shape}")
-    return _grover_steps(v.copy(), instance, 1)
+    squares, flipped = _step_sums(v, instance.y)
+    _check_unit_norm(math.sqrt(squares))
+    # -(1 - 2|u><u|) f  with u the uniform state and f the input with its
+    # target negated: every component of 2<u|f>|u> is twice the mean of f.
+    two_mean = 2.0 * (flipped / instance.N)
+    out = np.subtract(two_mean, v)
+    out[instance.y] = two_mean + v[instance.y]
+    return out
 
 
 def simulate_statevector(instance: SearchInstance, k) -> np.ndarray:
@@ -255,7 +309,7 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
         raise ValueError(f"amplitude count must be a power of two, got {N}")
     ell = _bounded_int(ell, 0, n - 1, "qubit index")
     m = 1 << ell
-    rows = max(_TRACE_CHUNK >> ell, 1)
+    rows = max(_CHUNK >> ell, 1)
     if m < 16:
         # Row dots this short cost more in calls than in arithmetic.  The
         # Gram matrix of the block rows [x0 | x1] takes 2m products per
@@ -271,8 +325,8 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
         blocks = v.reshape(-1, 2, m)
         s00 = s01 = s11 = 0.0
         for h in range(0, blocks.shape[0], rows):
-            for lo in range(0, m, _TRACE_CHUNK):
-                chunk = blocks[h : h + rows, :, lo : lo + _TRACE_CHUNK]
+            for lo in range(0, m, _CHUNK):
+                chunk = blocks[h : h + rows, :, lo : lo + _CHUNK]
                 x0, x1 = chunk[:, :1], chunk[:, 1:]
                 s00 += (x0 @ x0.transpose(0, 2, 1)).sum()
                 s01 += (x0 @ x1.transpose(0, 2, 1)).sum()

@@ -104,6 +104,19 @@ def reduced_matrix(v, ell) -> np.ndarray:
     return np.array([[s00, s01], [s01, s11]])
 
 
+def grover_step(v, y) -> np.ndarray:
+    """One search iteration on the real amplitudes ``v`` with target ``y``: 2*mean(f) - f.
+
+    ``f`` is ``v`` with entry ``y`` negated, and its sum is exactly rounded
+    (``math.fsum``), so each output entry is within one rounding of exact.
+    """
+    f = np.array(v, dtype=float)
+    if f.ndim != 1 or not _is_integer(y) or not 0 <= y < f.size:
+        raise ValueError(f"expected a 1-D vector and an index into it, got shape {f.shape} and {y!r}")
+    f[y] = -f[y]
+    return 2.0 * math.fsum(f) / f.size - f
+
+
 def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with its trace removed.
 

@@ -18,7 +18,7 @@ from groverlab import (
     speedup_entanglement_scan,
     table1,
 )
-from oracles import reduced_matrix
+from oracles import grover_step, reduced_matrix
 
 
 class TestMakeInstance:
@@ -217,6 +217,41 @@ class TestGroverStep:
                     np.testing.assert_array_equal(out, 2.0 * w.mean() - w)
                     v = out
 
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_matches_oracles_on_random_states(self, n):
+        # two to sixteen chunks of 2**16 amplitudes.  The step adds their sums
+        # in pairs, the order of numpy's own pairwise sum over a power-of-two
+        # length, so it gives the floats of the whole-vector mean; the oracle
+        # sums exactly instead.
+        N = 1 << n
+        v = np.random.default_rng(n).standard_normal(N)
+        v /= np.linalg.norm(v)
+        for y in (0, N // 3, N // 2 + 12345, N - 1):
+            out = apply_grover_step(v, make_instance(n, y))
+            w = v.copy()
+            w[y] = -w[y]
+            assert np.array_equal(out, 2.0 * w.mean() - w), y
+            expected = grover_step(v, y)
+            bound = np.finfo(float).eps * np.abs(expected).max()
+            np.testing.assert_allclose(out, expected, rtol=0, atol=bound, err_msg=f"{y}")
+
+    @pytest.mark.parametrize(
+        "fault",
+        [np.nan, np.inf, -np.inf, 0.5],
+        ids=["nan", "inf", "-inf", "unnormalized"],
+    )
+    def test_rejections_in_the_last_chunk(self, fault):
+        # the norm comes from the chunk sums, so a fault in the last of the two
+        # chunks at n = 17 shows whichever chunk holds the target
+        N = 1 << 17
+        v = np.full(N, N**-0.5)
+        v[N - 5] = fault
+        before = v.copy()
+        for y in (0, N - 1):
+            with pytest.raises(ValueError, match="normalized"):
+                apply_grover_step(v, make_instance(17, y))
+            assert np.array_equal(v, before, equal_nan=True)
+
 
 class TestSimulateStatevector:
     def test_exact_completion_vector(self):
@@ -241,6 +276,18 @@ class TestSimulateStatevector:
                 for k in range(2 * inst.completion_step + 2):
                     assert np.array_equal(simulate_statevector(inst, k), v), (n, y, k)
                     v = apply_grover_step(v, inst)
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_equals_repeated_public_steps_across_chunks(self, n):
+        # the target at the start and the end of the first 2**16-amplitude
+        # chunk, in a later one (at n = 18 a middle one) and at the very end
+        N = 1 << n
+        for y in (0, (1 << 16) - 1, N // 2 + 12345, N - 1):
+            inst = make_instance(n, y)
+            v = np.full(N, 1.0 / math.sqrt(N))
+            for k in range(6):
+                assert np.array_equal(simulate_statevector(inst, k), v), (y, k)
+                v = apply_grover_step(v, inst)
 
     def test_resource_guard(self):
         inst = make_instance(25, 0)
