@@ -169,57 +169,36 @@ def _real_vector(amplitudes) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _flipped_sum(chunk: np.ndarray, at: int) -> float:
-    """Sum of ``chunk`` with entry ``at`` negated; a copy is negated, and only if ``at`` lies in it."""
-    if 0 <= at < chunk.shape[0]:
-        chunk = chunk.copy()
-        chunk[at] = -chunk[at]
-    return float(chunk.sum())
-
-
-def _pairwise(sums: list[float]) -> float:
-    """Total of a power-of-two count of sums, added in pairs, level by level.
-
-    For the chunk sums of a vector of 2**n entries this is the order in which
-    numpy's pairwise summation adds the whole vector, so the total is the
-    same float as ``vector.sum()``.
-    """
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return sums[0]
-
-
 def _step_sums(v: np.ndarray, y: int) -> tuple[float, float]:
-    """|v|^2 and the sum of v with entry y negated, from one chunked read of v."""
-    squares, flipped = 0.0, []
+    """|v|^2 and the sum of v with entry y negated, from one chunked read of v.
+
+    The squares are summed by ``einsum``, which runs in the calling thread:
+    a threaded BLAS dot per chunk stalls when another process holds the
+    cores.  Entry y is negated in a copy of its chunk.  The chunk sums are
+    added in pairs, level by level, the order in which numpy's pairwise sum
+    adds a vector of 2**n entries, so the flipped sum is the same float as
+    the sum of the whole flipped vector.
+    """
+    squares, sums = 0.0, []
     for lo in range(0, v.shape[0], _CHUNK):
         chunk = v[lo : lo + _CHUNK]
-        squares += float(chunk @ chunk)
-        flipped.append(_flipped_sum(chunk, y - lo))
-    return squares, _pairwise(flipped)
+        squares += float(np.einsum("i,i", chunk, chunk))
+        if lo <= y < lo + _CHUNK:
+            chunk = chunk.copy()
+            chunk[y - lo] = -chunk[y - lo]
+        sums.append(float(chunk.sum()))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return squares, sums[0]
 
 
 def _grover_steps(w: np.ndarray, instance: SearchInstance, k: int) -> np.ndarray:
-    """Apply k search iterations to the float vector ``w`` in place and return it.
-
-    Each step is one read-write pass: every chunk is reflected, and its
-    flipped sum, which the next step needs, is taken while the chunk is in
-    cache.  The chunk sums and their total are those of
-    :func:`apply_grover_step`, so k steps here are bit for bit k public steps.
-    """
-    N, y = instance.N, instance.y
-    flipped = _step_sums(w, y)[1] if k else 0.0
+    """Apply k search iterations to the float vector ``w`` in place and return it."""
     for _ in range(k):
-        two_mean = 2.0 * (flipped / N)
-        target = w[y]
-        sums = []
-        for lo in range(0, N, _CHUNK):
-            chunk = w[lo : lo + _CHUNK]
-            np.subtract(two_mean, chunk, out=chunk)
-            if lo <= y < lo + _CHUNK:
-                chunk[y - lo] = two_mean + target
-            sums.append(_flipped_sum(chunk, y - lo))
-        flipped = _pairwise(sums)
+        w[instance.y] = -w[instance.y]
+        # -(1 - 2|u><u|) w  with u the uniform state: every component of
+        # 2<u|w>|u> equals twice the mean of w.
+        np.subtract(2.0 * w.mean(), w, out=w)
     return w
 
 
