@@ -33,7 +33,7 @@ from .pseudopure import (
 )
 from .search import _bounded_int, closed_form_state, make_instance, rotation_angle
 
-FORMAT_CHOICE = click.Choice(["csv", "json"])
+FORMAT_OPTION = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 OUTPUT_OPTION = click.option(
     "--output", type=click.Path(dir_okay=False), default=None, help="Write to file instead of stdout."
 )
@@ -134,7 +134,7 @@ def cli() -> None:
 @cli.command("table1")
 @click.option("--min-qubits", type=int, default=1, show_default=True, help="Smallest qubit count.")
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count.")
-@click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@FORMAT_OPTION
 @OUTPUT_OPTION
 @click.option(
     "--include-final-test-query",
@@ -154,7 +154,7 @@ def cmd_table1(min_qubits, max_qubits, fmt, output, include_final_test_query) ->
 @click.option("--qubits", type=int, required=True, help="Qubit count n.")
 @click.option("--target", type=int, default=None, help="Target index; defaults to 2^n - 1.")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Purity parameter.")
-@click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@FORMAT_OPTION
 @OUTPUT_OPTION
 def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
     """Per-iteration entanglement diagnostics of the search at purity eps.
@@ -188,7 +188,7 @@ def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
 
 @cli.command("bound")
 @click.option("--qubits", type=int, required=True, help="Qubit count n.")
-@click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@FORMAT_OPTION
 @OUTPUT_OPTION
 def cmd_bound(qubits, fmt, output) -> None:
     """Separability bound per iteration with its running minimum."""
@@ -201,7 +201,7 @@ def cmd_bound(qubits, fmt, output) -> None:
 @cli.command("scan")
 @click.option("--min-qubits", type=int, required=True, help="Smallest qubit count (> 2).")
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count (<= 30).")
-@click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@FORMAT_OPTION
 @OUTPUT_OPTION
 def cmd_scan(min_qubits, max_qubits, fmt, output) -> None:
     """Speed-up purity threshold versus per-step separability bounds.
@@ -229,7 +229,7 @@ def cmd_scan(min_qubits, max_qubits, fmt, output) -> None:
 @cli.command("fluctuations")
 @click.option("--qubits", type=int, required=True, help=f"Qubit count n (<= {MAX_FLUCTUATION_QUBITS}).")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Purity parameter.")
-@click.option("--format", "fmt", type=FORMAT_CHOICE, default="csv", show_default=True)
+@FORMAT_OPTION
 @OUTPUT_OPTION
 def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
     """Ensemble-variance identity for the projector-deviation observable.

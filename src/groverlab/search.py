@@ -18,6 +18,8 @@ import numpy as np
 MAX_INSTANCE_QUBITS = 30
 # 2**24 float64 amplitudes ~ 128 MiB; keeps desk runs under control.
 MAX_SIMULATOR_QUBITS = 24
+# Largest k for which float64 holds 2k+1 exactly: (2k+1)*theta0 multiplies an exact integer.
+MAX_ITERATIONS = 2**52 - 1
 
 NORM_ATOL = 1e-10
 
@@ -67,24 +69,23 @@ def _bounded_int(value, lo: int, hi: float, what: str) -> int:
 
 
 def _check_iterations(k) -> np.ndarray:
-    """``k`` as an int64 array if every entry is a non-negative integer of an integer dtype (not ``bool``).
+    """``k`` as an int64 array if every entry is an integer in [0, 2**52 - 1] of an integer dtype (not ``bool``).
 
-    Widening to int64 keeps 2k+1 and k+1 from wrapping around in a narrow dtype.
+    2k+1 is exact in float64 up to there; the interval is checked before the
+    widening to int64, so no count wraps around or is narrowed.
     """
     k_arr = np.asarray(k)
-    if k_arr.dtype.kind not in "iu" or np.any(k_arr < 0):
-        raise ValueError(f"iteration count must be a non-negative integer, got {k}")
+    if k_arr.dtype.kind not in "iu" or np.any((k_arr < 0) | (k_arr > MAX_ITERATIONS)):
+        raise ValueError(f"iteration count must be an integer in [0, {MAX_ITERATIONS}], got {k!r}")
     return k_arr.astype(np.int64)
 
 
 def _check_statevector_request(instance: SearchInstance, k) -> int:
     """``k`` as a plain int if it is one iteration count and the n <= 24 guard admits ``instance``."""
-    k_arr = _check_iterations(k)
-    if k_arr.ndim:
-        raise ValueError(f"expected one iteration count, got an array of shape {k_arr.shape}")
+    k = _bounded_int(k, 0, MAX_ITERATIONS, "iteration count")
     if instance.n > MAX_SIMULATOR_QUBITS:
         raise ValueError(f"materialized states need n <= {MAX_SIMULATOR_QUBITS}, got n = {instance.n}")
-    return int(k_arr)
+    return k
 
 
 def _qubit_range(n_min, n_max, lowest: int) -> range:
@@ -192,16 +193,6 @@ def _step_sums(v: np.ndarray, y: int) -> tuple[float, float]:
     return squares, sums[0]
 
 
-def _grover_steps(w: np.ndarray, instance: SearchInstance, k: int) -> np.ndarray:
-    """Apply k search iterations to the float vector ``w`` in place and return it."""
-    for _ in range(k):
-        w[instance.y] = -w[instance.y]
-        # -(1 - 2|u><u|) w  with u the uniform state: every component of
-        # 2<u|w>|u> equals twice the mean of w.
-        np.subtract(2.0 * w.mean(), w, out=w)
-    return w
-
-
 def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
     """Apply one search iteration to a normalized real amplitude vector.
 
@@ -237,10 +228,17 @@ def simulate_statevector(instance: SearchInstance, k) -> np.ndarray:
     Raises
     ------
     ValueError
-        If k is not one non-negative integer or n exceeds the n <= 24 guard.
+        If k is not one integer in [0, 2**52 - 1] (the counts for which
+        2k+1 is exact in float64) or n exceeds the n <= 24 guard.
     """
     k = _check_statevector_request(instance, k)
-    return _grover_steps(np.full(instance.N, 1.0 / math.sqrt(instance.N)), instance, k)
+    w = np.full(instance.N, 1.0 / math.sqrt(instance.N))
+    for _ in range(k):
+        w[instance.y] = -w[instance.y]
+        # -(1 - 2|u><u|) w  with u the uniform state: every component of
+        # 2<u|w>|u> equals twice the mean of w.
+        np.subtract(2.0 * w.mean(), w, out=w)
+    return w
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,9 @@ from groverlab import (
 )
 from oracles import grover_step, reduced_matrix
 
+# The one message for an iteration count outside [0, 2**52 - 1].
+ITERATION_COUNT_ERROR = r"^iteration count must be an integer in \[0, 4503599627370495\], got "
+
 
 class TestMakeInstance:
     def test_single_qubit(self):
@@ -142,19 +145,41 @@ class TestIterationCounts:
         # 2k+1 and k+1 would wrap around in uint8
         np.testing.assert_array_equal(fn(make_instance(3), k), fn(make_instance(3), 255))
 
+    @pytest.mark.parametrize(
+        "fn", [rotation_angle, schmidt_product, max_separable_epsilon, closed_form_state, simulate_statevector]
+    )
+    @pytest.mark.parametrize("k", [np.uint64(2**64 - 1), np.uint64(2**63), np.int64(2**62)])
+    def test_rejects_counts_that_int64_or_float64_cannot_hold(self, fn, k):
+        # uint64 counts wrap in int64, and 2k+1 wraps at 2**62 (an angle of -3.3e18 rad)
+        with pytest.raises(ValueError, match=ITERATION_COUNT_ERROR):
+            fn(make_instance(3), k)
+
 
 class TestMaterializedStates:
     """The closed form and the simulator share one check of k and of the n <= 24 guard."""
 
     @pytest.mark.parametrize("fn", [closed_form_state, simulate_statevector])
     def test_reject_an_array_of_counts(self, fn):
-        with pytest.raises(ValueError, match="one iteration count"):
+        with pytest.raises(ValueError, match=ITERATION_COUNT_ERROR):
             fn(make_instance(3), np.array([1, 2], dtype=np.uint8))
 
     def test_closed_form_has_the_simulator_size_guard(self):
         # n = 25..30 would allocate 256 MiB to 8 GiB
         with pytest.raises(ValueError, match="n <= 24"):
             closed_form_state(make_instance(25), 0)
+
+    @pytest.mark.parametrize("fn", [closed_form_state, simulate_statevector])
+    def test_guard_fires_before_the_allocation(self, fn):
+        # at n = 25 the state alone would take 256 MiB
+        inst = make_instance(25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n <= 24"):
+                fn(inst, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGroverStep:
@@ -507,6 +532,18 @@ INTEGER_INPUTS = {
     "table1 n_max": (lambda n: table1(2, n), 4, (1, 31), "n_max"),
     "scan n_min": (lambda n: speedup_entanglement_scan(n, 4), 3, (2, 31), "n_min"),
     "scan n_max": (lambda n: speedup_entanglement_scan(3, n), 4, (2, 31), "n_max"),
+    "closed_form_state k": (
+        lambda k: closed_form_state(make_instance(3), k),
+        3,
+        (-1, 2**52, np.uint64(2**64 - 1)),
+        "iteration count",
+    ),
+    "simulate_statevector k": (
+        lambda k: simulate_statevector(make_instance(3), k),
+        3,
+        (-1, 2**52, np.uint64(2**64 - 1)),
+        "iteration count",
+    ),
 }
 
 
