@@ -81,12 +81,13 @@ class TestTable1Command:
         assert records[0]["n_class"] == 1.0
         assert records[0]["speedup"] is False
 
-    def test_output_file(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        result = ok("table1", "--max-qubits", "3", "--output", str(path))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file(self, tmp_path, fmt):
+        path = tmp_path / f"rows.{fmt}"
+        result = ok("table1", "--max-qubits", "3", "--format", fmt, "--output", str(path))
         assert result.stdout == ""
-        direct = ok("table1", "--max-qubits", "3")
-        assert path.read_text(encoding="utf-8") == direct.stdout
+        direct = ok("table1", "--max-qubits", "3", "--format", fmt)
+        assert path.read_bytes() == direct.stdout_bytes
 
     def test_output_replaces_existing_file_whole(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -285,6 +286,7 @@ class TestFluctuationsCommand:
     [
         ("table1", "--max-qubits", "5"),
         ("trace", "--qubits", "6", "--epsilon", "0.3"),
+        ("trace", "--qubits", "20", "--epsilon", "0.3"),
         ("bound", "--qubits", "5"),
         ("scan", "--min-qubits", "3", "--max-qubits", "6"),
         ("fluctuations", "--qubits", "3", "--epsilon", "0.25"),
