@@ -9,8 +9,10 @@ integer label, least-significant bit first.  All amplitudes are real; the
 implemented search operator never leaves the real span of the basis states.
 """
 
+import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,9 @@ NORM_ATOL = 1e-10
 # Amplitudes per chunk of each sum in the search step and the partial trace:
 # 512 KiB, which stays in cache.
 _CHUNK = 1 << 16
+# Amplitudes per block that a thread of the search step claims at a time:
+# 16 chunks, 8 MiB.
+_BLOCK = 16 * _CHUNK
 
 
 @dataclass(frozen=True)
@@ -170,27 +175,78 @@ def _real_vector(amplitudes) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _on_two_threads(work, length: int) -> None:
+    """Call work(lo, hi) once for each block [lo, hi) of range(length), from the calling thread and one helper thread.
+
+    The two threads claim blocks of _BLOCK in turn from one counter, so a
+    thread that is held up leaves the rest to the other; a length of one
+    block or less runs in the calling thread alone.  The helper is joined
+    before this returns or raises, and an exception raised in it is raised
+    here.
+    """
+    # next() on the shared count is one C call under the interpreter lock, so
+    # no two claims return the same block.
+    claims = itertools.count(0, _BLOCK)
+    errors = []
+
+    def drain():
+        for lo in claims:
+            if lo >= length:
+                return
+            work(lo, min(lo + _BLOCK, length))
+
+    def helper():
+        try:
+            drain()
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    if length <= _BLOCK:
+        drain()
+        return
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        drain()
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _step_sums(v: np.ndarray, y: int) -> tuple[float, float]:
     """|v|^2 and the sum of v with entry y negated, from one chunked read of v.
 
-    The squares are summed by ``einsum``, which runs in the calling thread:
-    a threaded BLAS dot per chunk stalls when another process holds the
-    cores.  Entry y is negated in a copy of its chunk.  The chunk sums are
-    added in pairs, level by level, the order in which numpy's pairwise sum
-    adds a vector of 2**n entries, so the flipped sum is the same float as
-    the sum of the whole flipped vector.
+    The blocks of v are read on two threads (see :func:`_on_two_threads`),
+    and each chunk's two sums go to the chunk's own list entry.  The squares
+    are summed by ``einsum``, which runs in the thread that calls it: a
+    threaded BLAS dot per chunk stalls when another process holds the cores.
+    Entry y is negated in a copy of its chunk.  The squares are then added
+    in chunk order, and the flipped chunk sums in pairs, level by level, the
+    order in which numpy's pairwise sum adds a vector of 2**n entries, so
+    the flipped sum is the same float as the sum of the whole flipped vector
+    whichever thread read which block.
     """
-    squares, sums = 0.0, []
-    for lo in range(0, v.shape[0], _CHUNK):
-        chunk = v[lo : lo + _CHUNK]
-        squares += float(np.einsum("i,i", chunk, chunk))
-        if lo <= y < lo + _CHUNK:
-            chunk = chunk.copy()
-            chunk[y - lo] = -chunk[y - lo]
-        sums.append(float(chunk.sum()))
+    N = v.shape[0]
+    chunks = -(-N // _CHUNK)
+    squares, sums = [0.0] * chunks, [0.0] * chunks
+
+    def read(start, stop):
+        for lo in range(start, stop, _CHUNK):
+            chunk = v[lo : lo + _CHUNK]
+            squares[lo // _CHUNK] = float(np.einsum("i,i", chunk, chunk))
+            if lo <= y < lo + _CHUNK:
+                chunk = chunk.copy()
+                chunk[y - lo] = -chunk[y - lo]
+            sums[lo // _CHUNK] = float(chunk.sum())
+
+    _on_two_threads(read, N)
+    total = 0.0
+    for square in squares:
+        total += square
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return squares, sums[0]
+    return total, sums[0]
 
 
 def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
@@ -202,8 +258,12 @@ def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
 
     The input is read once, in chunks of 2**16 amplitudes, for its sum of
     squares (the unit-norm check) and its sum with the target negated; the
-    output is then written once, into a new array.  The caller's array is
-    left untouched, and the step holds two vectors at its peak.
+    output is then written once, into a new array.  Both passes are split
+    into blocks of 2**20 amplitudes, which the calling thread and one helper
+    thread claim in turn, so a vector of n > 20 qubits is read and written
+    by two cores; the sums are combined in a fixed order, so the output is
+    the same floats for any split.  The caller's array is left untouched,
+    and the step holds two vectors at its peak.
     """
     v = _real_vector(amplitudes)
     if v.shape != (instance.N,):
@@ -213,7 +273,12 @@ def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
     # -(1 - 2|u><u|) f  with u the uniform state and f the input with its
     # target negated: every component of 2<u|f>|u> is twice the mean of f.
     two_mean = 2.0 * (flipped / instance.N)
-    out = np.subtract(two_mean, v)
+    out = np.empty(instance.N)
+
+    def write(lo, hi):
+        np.subtract(two_mean, v[lo:hi], out=out[lo:hi])
+
+    _on_two_threads(write, instance.N)
     out[instance.y] = two_mean + v[instance.y]
     return out
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -22,6 +24,15 @@ from oracles import grover_step, reduced_matrix
 
 # The one message for an iteration count outside [0, 2**52 - 1].
 ITERATION_COUNT_ERROR = r"^iteration count must be an integer in \[0, 4503599627370495\], got "
+
+# Amplitudes per block that the search step's two threads claim: a vector of
+# n = 21 has two blocks, n = 22 four.
+BLOCK = 1 << 20
+
+
+def threaded_targets(N):
+    """Targets at both ends of a vector of more than one block and on both sides of its first block edge."""
+    return (0, BLOCK - 1, BLOCK, N - 1)
 
 
 class TestMakeInstance:
@@ -226,15 +237,18 @@ class TestGroverStep:
 
     def test_leaves_its_input_untouched(self):
         # bit for bit the out-of-place reference, without writing to the
-        # caller's array or returning a view of it
-        for n in range(1, 13):
+        # caller's array or returning a view of it; at n = 21 and 22 the two
+        # threads read and write two and four blocks, and none outlives the call
+        threads = threading.active_count()
+        for n in (*range(1, 13), 21, 22):
             N = 1 << n
-            for y in sorted({0, N // 3, N - 1}):
+            for y in sorted({0, N // 3, N - 1}) if n <= 12 else threaded_targets(N):
                 inst = make_instance(n, y)
                 v = simulate_statevector(inst, 0)
-                for _ in range(2 * inst.completion_step):
+                for _ in range(2 * inst.completion_step if n <= 12 else 2):
                     before = v.copy()
                     out = apply_grover_step(v, inst)
+                    assert threading.active_count() == threads
                     assert np.array_equal(v, before)
                     assert not np.shares_memory(out, v)
                     w = v.copy()
@@ -242,16 +256,17 @@ class TestGroverStep:
                     np.testing.assert_array_equal(out, 2.0 * w.mean() - w)
                     v = out
 
-    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    @pytest.mark.parametrize("n", [17, 18, 19, 20, 21, 22])
     def test_matches_oracles_on_random_states(self, n):
-        # two to sixteen chunks of 2**16 amplitudes.  The step adds their sums
-        # in pairs, the order of numpy's own pairwise sum over a power-of-two
-        # length, so it gives the floats of the whole-vector mean; the oracle
-        # sums exactly instead.
+        # two to 64 chunks of 2**16 amplitudes, in up to four blocks that two
+        # threads claim.  The step adds the chunk sums in pairs, the order of
+        # numpy's own pairwise sum over a power-of-two length, whichever thread
+        # read them, so it gives the floats of the whole-vector mean; the
+        # oracle sums exactly instead.
         N = 1 << n
         v = np.random.default_rng(n).standard_normal(N)
         v /= np.linalg.norm(v)
-        for y in (0, N // 3, N // 2 + 12345, N - 1):
+        for y in (0, N // 3, N // 2 + 12345, N - 1) if n <= 20 else threaded_targets(N):
             out = apply_grover_step(v, make_instance(n, y))
             w = v.copy()
             w[y] = -w[y]
@@ -267,15 +282,73 @@ class TestGroverStep:
     )
     def test_rejections_in_the_last_chunk(self, fault):
         # the norm comes from the chunk sums, so a fault in the last of the two
-        # chunks at n = 17 shows whichever chunk holds the target
-        N = 1 << 17
+        # chunks at n = 17, or of the two blocks at n = 21, shows whichever
+        # chunk holds the target and whichever thread reads the fault
+        threads = threading.active_count()
+        for n in (17, 21):
+            N = 1 << n
+            v = np.full(N, N**-0.5)
+            v[N - 5] = fault
+            before = v.copy()
+            for y in (0, N - 1):
+                with pytest.raises(ValueError, match="normalized"):
+                    apply_grover_step(v, make_instance(n, y))
+                assert np.array_equal(v, before, equal_nan=True)
+                assert threading.active_count() == threads
+
+    def test_an_error_in_the_helper_thread_reaches_the_caller(self, monkeypatch):
+        # at n = 21 each thread claims one of the two blocks: the calling
+        # thread's first sum waits until the helper's has raised
+        einsum, caller, failed = np.einsum, threading.get_ident(), threading.Event()
+        caller_sums = []
+
+        def einsum_failing_in_the_helper(*args):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise RuntimeError("in the helper")
+            if not caller_sums:
+                failed.wait(timeout=10)
+            caller_sums.append(args)
+            return einsum(*args)
+
+        monkeypatch.setattr(np, "einsum", einsum_failing_in_the_helper)
+        N = 1 << 21
         v = np.full(N, N**-0.5)
-        v[N - 5] = fault
-        before = v.copy()
-        for y in (0, N - 1):
-            with pytest.raises(ValueError, match="normalized"):
-                apply_grover_step(v, make_instance(17, y))
-            assert np.array_equal(v, before, equal_nan=True)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="in the helper"):
+            apply_grover_step(v, make_instance(21, 0))
+        assert failed.is_set()
+        assert threading.active_count() == threads
+        assert np.array_equal(v, np.full(N, N**-0.5))
+
+    def test_concurrent_callers_with_a_short_switch_interval(self):
+        # three callers, each with its own helper, on a shared input: every
+        # output is still the reference, so no claim or sum is lost or shared
+        N = 1 << 21
+        v = np.random.default_rng(21).standard_normal(N)
+        v /= np.linalg.norm(v)
+        targets = (0, BLOCK - 1, N - 1)
+        outputs = {}
+
+        def call(y):
+            outputs[y] = [apply_grover_step(v, make_instance(21, y)) for _ in range(2)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(y,)) for y in targets]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        for y in targets:
+            w = v.copy()
+            w[y] = -w[y]
+            expected = 2.0 * w.mean() - w
+            assert all(np.array_equal(out, expected) for out in outputs[y]), y
 
 
 class TestSimulateStatevector:
@@ -302,12 +375,14 @@ class TestSimulateStatevector:
                     assert np.array_equal(simulate_statevector(inst, k), v), (n, y, k)
                     v = apply_grover_step(v, inst)
 
-    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("n", [17, 18, 21, 22])
     def test_equals_repeated_public_steps_across_chunks(self, n):
         # the target at the start and the end of the first 2**16-amplitude
-        # chunk, in a later one (at n = 18 a middle one) and at the very end
+        # chunk, in a later one (at n = 18 a middle one) and at the very end;
+        # at n = 21 and 22, on both sides of the first edge between the blocks
+        # that the public step's two threads claim
         N = 1 << n
-        for y in (0, (1 << 16) - 1, N // 2 + 12345, N - 1):
+        for y in (0, (1 << 16) - 1, N // 2 + 12345, N - 1) if n <= 18 else threaded_targets(N):
             inst = make_instance(n, y)
             v = np.full(N, 1.0 / math.sqrt(N))
             for k in range(6):
@@ -435,7 +510,9 @@ class TestPartialTrace:
         k = inst.completion_step
         v = simulate_statevector(inst, k)
         exact = closed_form_state(inst, k)
-        assert float(v @ exact) ** 2 == pytest.approx(1.0, abs=1e-12)
+        # an exactly rounded overlap: a single-threaded BLAS dot over 2**20
+        # products is off by 1e-12 itself
+        assert math.fsum(v * exact) ** 2 == pytest.approx(1.0, abs=1e-12)
         a, b = exact[inst.y], exact[inst.y ^ 1]
         half = inst.N // 2
         marked, unmarked, off = a * a + (half - 1) * b * b, half * b * b, (half - 1) * b * b + a * b
@@ -459,7 +536,7 @@ class TestPartialTrace:
 
 
 class TestMemory:
-    """Peak traced allocations at n = 20, where one amplitude vector is 8 MiB.
+    """Peak traced allocations at n = 20, where one amplitude vector is 8 MiB (16 MiB at n = 21).
 
     The input vectors are allocated before tracing starts, so only what each
     call allocates itself is counted.
@@ -482,6 +559,13 @@ class TestMemory:
         inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
         v = closed_form_state(inst, 3)
         assert self.peak_bytes(apply_grover_step, v, inst) <= self.VECTOR + self.SLACK
+
+    def test_step_on_two_threads_holds_one_new_vector(self):
+        # n = 21 splits the step between two threads, and tracemalloc counts
+        # what either of them allocates
+        inst = make_instance(21, inst_target(21))
+        v = closed_form_state(inst, 3)
+        assert self.peak_bytes(apply_grover_step, v, inst) <= 2 * self.VECTOR + self.SLACK
 
     def test_simulation_holds_one_vector(self):
         inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
