@@ -1,13 +1,17 @@
 """Deterministic command-line reports in CSV or JSON.
 
-Every command checks its arguments through the library (an invalid
-argument prints one ``Error:`` line and exits with status 2), computes its
-columns in one array pass, and emits them through a single writer.  Floats
-are printed in the shortest form that round-trips, so identical arguments
-give byte-identical output on one CPU and numpy build (see the README).
+Each command is a function that checks its arguments through the library
+and returns its columns, computed in one array pass; ``scan`` also returns
+a verdict line.  One wrapper, ``_report``, registers every command: it alone
+adds ``--format`` and ``--output``, turns a library ``ValueError`` into one
+``Error:`` line and exit status 2, and emits the columns through a single
+writer.  Floats are printed in the shortest form that round-trips, so
+identical arguments give byte-identical output on one CPU and numpy build
+(see the README).
 """
 
 import contextlib
+import functools
 import json
 import os
 
@@ -46,15 +50,6 @@ class _InvalidArgument(click.ClickException):
     """One ``Error:`` line on stderr and exit status 2."""
 
     exit_code = 2
-
-
-@contextlib.contextmanager
-def _library_checks():
-    """Report a library ``ValueError`` as an invalid argument."""
-    try:
-        yield
-    except ValueError as exc:
-        raise _InvalidArgument(str(exc)) from None
 
 
 def _cells(values) -> list[str]:
@@ -139,11 +134,35 @@ def cli() -> None:
     """Quantum-search entanglement and query-complexity reports."""
 
 
-@cli.command("table1")
+def _report(name: str):
+    """Register a function that returns its columns as the command ``name``.
+
+    The command takes the function's options, then --format and --output.
+    A ``ValueError`` from the function is an invalid argument.  The function
+    may return ``(columns, verdict)``; the verdict goes to stderr once the
+    columns are written, so a failed --output gives one ``Error:`` line only.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(fmt, output, **arguments) -> None:
+            try:
+                report = body(**arguments)
+            except ValueError as exc:
+                raise _InvalidArgument(str(exc)) from None
+            columns, verdict = report if isinstance(report, tuple) else (report, None)
+            _emit(columns, fmt, output)
+            if verdict is not None:
+                click.echo(verdict, err=True)
+
+        return OUTPUT_OPTION(FORMAT_OPTION(cli.command(name)(run)))
+
+    return register
+
+
+@_report("table1")
 @click.option("--min-qubits", type=int, default=1, show_default=True, help="Smallest qubit count.")
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count.")
-@FORMAT_OPTION
-@OUTPUT_OPTION
 @click.option(
     "--include-final-test-query",
     type=bool,
@@ -151,33 +170,28 @@ def cli() -> None:
     show_default=True,
     help="Count the one outcome-testing function evaluation per repetition.",
 )
-def cmd_table1(min_qubits, max_qubits, fmt, output, include_final_test_query) -> None:
+def cmd_table1(min_qubits, max_qubits, include_final_test_query) -> dict:
     """Best separability-constrained query counts versus classical search."""
-    with _library_checks():
-        rows = table1(min_qubits, max_qubits, include_final_test_query)
-    _emit(_stack(rows), fmt, output)
+    return _stack(table1(min_qubits, max_qubits, include_final_test_query))
 
 
-@cli.command("trace")
+@_report("trace")
 @click.option("--qubits", type=int, required=True, help="Qubit count n.")
 @click.option("--target", type=int, default=None, help="Target index; defaults to 2^n - 1.")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Purity parameter.")
-@FORMAT_OPTION
-@OUTPUT_OPTION
-def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
+def cmd_trace(qubits, target, epsilon) -> dict:
     """Per-iteration entanglement diagnostics of the search at purity eps.
 
     All emitted quantities are independent of the target index; --target is
     validated and accepted to make that symmetry easy to exercise.
     """
-    with _library_checks():
-        instance = make_instance(qubits, target)
-        k = np.arange(instance.completion_step + 1)
-        p = success_probability(instance, k, epsilon)
+    instance = make_instance(qubits, target)
+    k = np.arange(instance.completion_step + 1)
+    p = success_probability(instance, k, epsilon)
     s_x, s_y, s_z = bloch_vector(instance, k)
     s_norm = np.minimum(np.hypot(s_x, s_z), 1.0)
     bounds = _bound_columns(instance, k)
-    columns = {
+    return {
         "k": k,
         "theta_k": rotation_angle(instance, k),
         "s_x": s_x,
@@ -191,75 +205,60 @@ def cmd_trace(qubits, target, epsilon, fmt, output) -> None:
         "success_probability": p,
         "entangled": requires_entanglement(epsilon, bounds["epsilon_bound"]),
     }
-    _emit(columns, fmt, output)
 
 
-@cli.command("bound")
+@_report("bound")
 @click.option("--qubits", type=int, required=True, help="Qubit count n.")
-@FORMAT_OPTION
-@OUTPUT_OPTION
-def cmd_bound(qubits, fmt, output) -> None:
+def cmd_bound(qubits) -> dict:
     """Separability bound per iteration with its running minimum."""
-    with _library_checks():
-        instance = make_instance(qubits)
+    instance = make_instance(qubits)
     k = np.arange(instance.completion_step + 1)
-    _emit({"k": k, "theta_k": rotation_angle(instance, k), **_bound_columns(instance, k)}, fmt, output)
+    return {"k": k, "theta_k": rotation_angle(instance, k), **_bound_columns(instance, k)}
 
 
-@cli.command("scan")
+@_report("scan")
 @click.option("--min-qubits", type=int, required=True, help="Smallest qubit count (> 2).")
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count (<= 30).")
-@FORMAT_OPTION
-@OUTPUT_OPTION
-def cmd_scan(min_qubits, max_qubits, fmt, output) -> None:
+def cmd_scan(min_qubits, max_qubits) -> tuple[dict, str]:
     """Speed-up purity threshold versus per-step separability bounds.
 
     Emits one row per (n, iteration) pair; a summary verdict goes to
     standard error so the payload stays machine-readable.
     """
-    with _library_checks():
-        scans = speedup_entanglement_scan(min_qubits, max_qubits)
-    _emit(_stack(scans), fmt, output)
-    holds = all(rec.entangled_throughout for rec in scans)
+    scans = speedup_entanglement_scan(min_qubits, max_qubits)
+    bad = [rec.n for rec in scans if not rec.entangled_throughout]
     exceptions = [rec.n for rec in scans if rec.last_step_exception]
-    if holds:
-        detail = f"final-step exceptions at n = {exceptions}" if exceptions else "no final-step exceptions"
-        message = (
-            f"scan {min_qubits}..{max_qubits}: speed-up requires entanglement after "
-            f"every iteration up to k_opt for every n ({detail})"
-        )
-    else:
-        bad = [rec.n for rec in scans if not rec.entangled_throughout]
-        message = f"scan {min_qubits}..{max_qubits}: conclusion violated at n = {bad}"
-    click.echo(message, err=True)
+    detail = f"final-step exceptions at n = {exceptions}" if exceptions else "no final-step exceptions"
+    verdict = (
+        f"conclusion violated at n = {bad}"
+        if bad
+        else f"speed-up requires entanglement after every iteration up to k_opt for every n ({detail})"
+    )
+    return _stack(scans), f"scan {min_qubits}..{max_qubits}: {verdict}"
 
 
-@cli.command("fluctuations")
+@_report("fluctuations")
 @click.option("--qubits", type=int, required=True, help=f"Qubit count n (<= {MAX_FLUCTUATION_QUBITS}).")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Purity parameter.")
-@FORMAT_OPTION
-@OUTPUT_OPTION
-def cmd_fluctuations(qubits, epsilon, fmt, output) -> None:
+def cmd_fluctuations(qubits, epsilon) -> dict:
     """Ensemble-variance identity for the projector-deviation observable.
 
     Uses Theta = |psi><psi| - I/N with psi the uniform superposition; the
     numbers depend only on N and eps.  Reports the closed-form ensemble
     variance next to the direct dense-matrix value.
     """
-    with _library_checks():
-        instance = make_instance(_bounded_int(qubits, 1, MAX_FLUCTUATION_QUBITS, "qubit count"))
-        psi = closed_form_state(instance, 0)
-        theta_op = projector_deviation(psi)
-        report = fluctuation_report(theta_op, psi, epsilon)
+    instance = make_instance(_bounded_int(qubits, 1, MAX_FLUCTUATION_QUBITS, "qubit count"))
+    psi = closed_form_state(instance, 0)
+    theta_op = projector_deviation(psi)
+    report = fluctuation_report(theta_op, psi, epsilon)
     direct = direct_pseudo_variance(theta_op, psi, epsilon)
-    columns = {
+    return {
         "n": [instance.n],
         "N": [instance.N],
         **_stack([report]),
         "direct_variance": [direct],
         "abs_difference": [abs(report.pseudo_variance - direct)],
     }
-    _emit(columns, fmt, output)
 
 
 if __name__ == "__main__":

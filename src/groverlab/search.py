@@ -347,7 +347,7 @@ def partial_trace_single_qubit(amplitudes, ell: int) -> QubitReducedState:
     v = _real_vector(amplitudes)
     N = v.shape[0]
     n = N.bit_length() - 1
-    if N != 1 << n:
+    if N < 2 or N != 1 << n:
         raise ValueError(f"amplitude count must be a power of two, got {N}")
     ell = _bounded_int(ell, 0, n - 1, "qubit index")
     m = 1 << ell

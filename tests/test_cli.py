@@ -237,6 +237,12 @@ class TestScanCommand:
         result = ok("scan", "--min-qubits", "3", "--max-qubits", "30")
         assert result.stderr.endswith("for every n (no final-step exceptions)\n")
 
+    def test_failed_output_prints_no_verdict(self, tmp_path):
+        # the verdict follows the rows, so an --output error is the only line
+        result = run("scan", "--min-qubits", "3", "--max-qubits", "4", "--output", str(tmp_path / "missing" / "s.csv"))
+        assert_one_line_error(result)
+        assert "scan 3..4" not in result.stderr
+
     def test_json_round_trip(self):
         result = ok("scan", "--min-qubits", "3", "--max-qubits", "4", "--format", "json")
         records = json.loads(result.stdout)
@@ -304,7 +310,9 @@ def test_json_is_laid_out_like_json_dumps_and_matches_csv(args):
 
 @pytest.mark.parametrize("command", ["table1", "trace", "bound", "scan", "fluctuations"])
 def test_output_option_is_documented(command):
-    assert "Write to file instead of stdout." in ok(command, "--help").stdout
+    text = ok(command, "--help").stdout
+    assert "--format [csv|json]" in text
+    assert "Write to file instead of stdout." in text
 
 
 class TestDeterminism:

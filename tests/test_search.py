@@ -492,8 +492,10 @@ class TestPartialTrace:
             (np.where(np.arange(32) == 7, -np.inf, 32**-0.5), "normalized"),
             (np.full(32, 0.5), "normalized"),
             (np.full(3, 3**-0.5), "power of two"),
+            (np.array([]), "power of two"),
+            (np.ones(1), "power of two"),
         ],
-        ids=["nan", "inf", "-inf", "unnormalized", "length-3"],
+        ids=["nan", "inf", "-inf", "unnormalized", "length-3", "empty", "length-1"],
     )
     def test_rejections_name_the_fault(self, v, message):
         # qubits 0-3 and 4 take the two different paths to the sums, and the
