@@ -15,7 +15,6 @@ from .complexity import (
     scan_record,
     speedup_entanglement_scan,
     table1,
-    table1_row,
 )
 from .entanglement import (
     bloch_vector,
@@ -76,6 +75,5 @@ __all__ = [
     "speedup_entanglement_scan",
     "success_probability",
     "table1",
-    "table1_row",
     "von_neumann_entropy",
 ]

@@ -61,31 +61,31 @@ class ComplexityRow:
     speedup: bool
 
 
-def table1_row(n: int, include_test_query: bool = True) -> ComplexityRow:
-    """Best separability-constrained ensemble query count for n qubits.
+def table1(n_min: int, n_max: int, include_test_query: bool = True) -> list[ComplexityRow]:
+    """Best separability-constrained ensemble query counts for every n in [n_min, n_max].
 
     At each candidate k the purity is capped by the running separability
     bound, so the machine stays unproven-entangled through every step it
     executes.
     """
-    instance = make_instance(n)
-    n_class = classical_queries(instance.N)
-    eps = max_separable_epsilon(instance, np.arange(instance.completion_step + 1))
-    k_opt, n_pseudo_min = pseudo_queries(instance, eps, include_test_query)
-    return ComplexityRow(
-        n=instance.n,
-        N=instance.N,
-        k_opt=k_opt,
-        n_pseudo_min=n_pseudo_min,
-        n_class=n_class,
-        epsilon_used=float(eps[k_opt]),
-        speedup=n_pseudo_min < n_class,
-    )
-
-
-def table1(n_min: int, n_max: int, include_test_query: bool = True) -> list[ComplexityRow]:
-    """Rows for every qubit count in [n_min, n_max]."""
-    return [table1_row(n, include_test_query) for n in _qubit_range(n_min, n_max, 1)]
+    rows = []
+    for n in _qubit_range(n_min, n_max, 1):
+        instance = make_instance(n)
+        n_class = classical_queries(instance.N)
+        eps = max_separable_epsilon(instance, np.arange(instance.completion_step + 1))
+        k_opt, n_pseudo_min = pseudo_queries(instance, eps, include_test_query)
+        rows.append(
+            ComplexityRow(
+                n=instance.n,
+                N=instance.N,
+                k_opt=k_opt,
+                n_pseudo_min=n_pseudo_min,
+                n_class=n_class,
+                epsilon_used=float(eps[k_opt]),
+                speedup=n_pseudo_min < n_class,
+            )
+        )
+    return rows
 
 
 def epsilon_speedup(instance: SearchInstance) -> tuple[int, float] | None:

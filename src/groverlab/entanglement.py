@@ -14,20 +14,13 @@ import math
 
 import numpy as np
 
-from .search import SearchInstance, _check_epsilon, _check_iterations, _real_array, rotation_angle
+from .search import MAX_SIMULATOR_QUBITS, SearchInstance, _check_iterations, _check_unit_interval, rotation_angle
 
 BLOCH_SLACK = 1e-12
 
 # Entanglement verdicts tolerate this much rounding in the bound itself, so
 # steps that complete the search exactly are not flagged by noise ~1e-16.
 BOUND_DECISION_TOL = 1e-12
-
-
-def _checked_bloch_length(s):
-    s = _real_array(s, "Bloch length")
-    if not np.all((s >= -BLOCH_SLACK) & (s <= 1.0 + BLOCH_SLACK)):
-        raise ValueError(f"Bloch length must lie in [0, 1], got {s}")
-    return np.clip(s, 0.0, 1.0)
 
 
 def bloch_vector(instance: SearchInstance, k) -> np.ndarray:
@@ -50,7 +43,7 @@ def von_neumann_entropy(s):
     1 for the maximally mixed state (s = 0), 0 for a pure state (s = 1);
     equals the binary entropy of (1 + s)/2.
     """
-    s = _checked_bloch_length(s)
+    s = _check_unit_interval(s, "Bloch length", BLOCH_SLACK)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = 1.0 - 0.5 * (1 - s) * np.log2(1 - s) - 0.5 * (1 + s) * np.log2(1 + s)
     # Rounding can carry h an ulp past either end of [0, 1].
@@ -59,7 +52,7 @@ def von_neumann_entropy(s):
 
 def linear_entropy(s):
     """Linear entropy (1 - s^2)/2 of a qubit state with Bloch length s."""
-    s = _checked_bloch_length(s)
+    s = _check_unit_interval(s, "Bloch length", BLOCH_SLACK)
     return (1.0 - s * s) / 2.0
 
 
@@ -68,7 +61,7 @@ def hs_distance(s):
 
     Satisfies d^2 = 1/2 - linear_entropy(s).
     """
-    return _checked_bloch_length(s) / math.sqrt(2.0)
+    return _check_unit_interval(s, "Bloch length", BLOCH_SLACK) / math.sqrt(2.0)
 
 
 def schmidt_product(instance: SearchInstance, k):
@@ -101,11 +94,14 @@ def separability_bound(instance: SearchInstance, k):
 def max_separable_epsilon(instance: SearchInstance, k):
     """Largest purity compatible with separability at every step 0..k.
 
-    The running minimum of :func:`separability_bound`.
+    The running minimum of :func:`separability_bound`, swept over 0..max(k);
+    the sweep is capped at 2**24 steps, the length of an n = 24 state.
     """
     k = _check_iterations(k)
-    bounds = separability_bound(instance, np.arange(k.max(initial=0) + 1))
-    return np.minimum.accumulate(bounds)[k]
+    last = int(k.max(initial=0))
+    if last >= 1 << MAX_SIMULATOR_QUBITS:
+        raise ValueError(f"iteration count must be an integer in [0, {(1 << MAX_SIMULATOR_QUBITS) - 1}], got {last}")
+    return np.minimum.accumulate(separability_bound(instance, np.arange(last + 1)))[k]
 
 
 def requires_entanglement(epsilon, bound):
@@ -114,4 +110,4 @@ def requires_entanglement(epsilon, bound):
     Uses a 1e-12 guard so bounds that are 1 up to rounding do not flag
     exact-completion steps.
     """
-    return _check_epsilon(epsilon) > bound + BOUND_DECISION_TOL
+    return _check_unit_interval(epsilon, "purity parameter") > bound + BOUND_DECISION_TOL

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import SearchInstance, _check_epsilon, _check_state, rotation_angle
+from .search import SearchInstance, _check_state, _check_unit_interval, rotation_angle
 
 TRACE_ATOL = 1e-10
 
@@ -37,7 +37,7 @@ def success_probability(instance: SearchInstance, k, epsilon):
     pure-state probability sin^2(theta_k) at eps = 1.  ``k`` and ``epsilon``
     may be arrays; they broadcast against each other.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_unit_interval(epsilon, "purity parameter")
     N = instance.N
     s2 = np.sin(rotation_angle(instance, k)) ** 2
     return (1.0 + epsilon * (N * s2 - 1.0)) / N
@@ -56,7 +56,7 @@ def direct_pseudo_variance(theta_op, psi, epsilon: float) -> float:
     Builds the ensemble density matrix densely; this is the independent
     arbiter for the closed form in :func:`fluctuation_report`.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_unit_interval(epsilon, "purity parameter")
     op, v = _check_observable(theta_op, psi)
     N = op.shape[0]
     rho = (1.0 - epsilon) / N * np.eye(N, dtype=op.dtype) + epsilon * np.outer(v, v.conj())
@@ -90,7 +90,7 @@ def fluctuation_report(theta_op, psi, epsilon: float) -> FluctuationReport:
     and variance eps*Var_pure + (1-eps)*(tr(Theta^2)/N + eps*<Theta>_pure^2),
     which :func:`direct_pseudo_variance` checks by explicit matrices.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_unit_interval(epsilon, "purity parameter")
     op, v = _check_observable(theta_op, psi)
     op_sq = op @ op
     mean = pure_expectation(op, v)

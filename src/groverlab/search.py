@@ -99,19 +99,16 @@ def _qubit_range(n_min, n_max, lowest: int) -> range:
     return range(n_min, _bounded_int(n_max, n_min, MAX_INSTANCE_QUBITS, "n_max") + 1)
 
 
-def _real_array(x, what: str) -> np.ndarray:
-    """``x`` as a float array if its dtype is an integer or float one (not ``bool``, str or complex)."""
+def _check_unit_interval(x, what: str, slack: float = 0.0):
+    """``x`` clipped into [0, 1], as a float or float array, if it is real (not ``bool``) and within ``slack`` of [0, 1]."""
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be an integer or float, got {x!r}")
-    return arr.astype(float)
-
-
-def _check_epsilon(epsilon):
-    eps = _real_array(epsilon, "purity parameter")
-    if not np.all((eps >= 0.0) & (eps <= 1.0)):
-        raise ValueError(f"purity parameter must lie in [0, 1], got {epsilon}")
-    return eps if eps.ndim else float(eps)
+    arr = arr.astype(float)
+    if not np.all((arr >= -slack) & (arr <= 1.0 + slack)):
+        raise ValueError(f"{what} must lie in [0, 1], got {x}")
+    arr = np.clip(arr, 0.0, 1.0)
+    return arr if arr.ndim else float(arr)
 
 
 def make_instance(n: int, y: int | None = None) -> SearchInstance:

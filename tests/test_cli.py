@@ -114,6 +114,13 @@ class TestTable1Command:
         assert stale.read_text(encoding="utf-8") == "another run's rows\n"
         assert not path.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_output_to_a_full_device_is_an_argument_error(self):
+        # a device node is written in place, and every write to /dev/full fails
+        result = run("table1", "--max-qubits", "3", "--output", "/dev/full")
+        assert_one_line_error(result)
+        assert result.stderr == "Error: cannot write /dev/full: No space left on device\n"
+
     def test_output_through_a_symlink_writes_its_target(self, tmp_path):
         real = tmp_path / "real.csv"
         real.write_text("stale\n", encoding="utf-8")

@@ -17,7 +17,6 @@ from groverlab import (
     speedup_entanglement_scan,
     success_probability,
     table1,
-    table1_row,
 )
 
 EPS1_N3 = 1.0 / (1.0 + math.sqrt(3.0))
@@ -157,7 +156,7 @@ class TestTable:
             assert row.N == 1 << row.n
 
     def test_two_qubit_speedup_without_entanglement(self):
-        row = table1_row(2)
+        row = table1(2, 2)[0]
         assert row.speedup
         assert row.n_pseudo_min == pytest.approx(2.0, abs=1e-9)
         assert row.n_class == pytest.approx(2.25, abs=1e-12)
@@ -168,7 +167,7 @@ class TestTable:
             assert row.n_pseudo_min >= row.n_class
 
     def test_excluding_test_query(self):
-        row = table1_row(2, include_test_query=False)
+        row = table1(2, 2, include_test_query=False)[0]
         assert row.n_pseudo_min == pytest.approx(1.0, abs=1e-9)
         assert row.n_class / row.n_pseudo_min == pytest.approx(2.25, abs=1e-9)
 
@@ -181,7 +180,7 @@ class TestTable:
         assert table1(np.int64(2), np.uint8(3)) == table1(2, 3)
 
     def test_qubit_count_is_a_plain_int(self):
-        assert type(table1_row(np.int64(3)).n) is int
+        assert type(table1(np.int64(3), np.int64(3))[0].n) is int
         assert type(scan_record(np.int64(3)).n) is int
 
 
@@ -302,7 +301,7 @@ class TestSweepRange:
         cost = [(k + 1) * N / (1.0 + e * (N * s - 1.0)) for k, (s, e) in enumerate(zip(s2, running))]
         k_best, least = self.first_min(cost)
         assert k_best <= inst.completion_step
-        row = table1_row(n)
+        row = table1(n, n)[0]
         assert (row.k_opt, row.n_pseudo_min) == (k_best, pytest.approx(least, rel=1e-12))
 
     @pytest.mark.parametrize("n", range(1, 15))

@@ -145,6 +145,19 @@ class TestPseudoVariance:
         with pytest.raises(ValueError, match="normalized"):
             fluctuation_report(theta, np.ones(4), 0.5)
 
+    @pytest.mark.parametrize("fn", [fluctuation_report, direct_pseudo_variance])
+    @pytest.mark.parametrize(
+        "op, psi, message",
+        [
+            (np.zeros((2, 3)), [1.0, 0.0], r"^observable must be a square matrix, got shape \(2, 3\)$"),
+            (np.diag([1.0, -1.0, 1.0, -1.0]), [1.0, 0.0], r"^state shape \(2,\) does not match operator dimension 4$"),
+        ],
+        ids=["non-square", "dimension-mismatch"],
+    )
+    def test_rejects_mismatched_observables(self, fn, op, psi, message):
+        with pytest.raises(ValueError, match=message):
+            fn(op, psi, 0.5)
+
     @pytest.mark.parametrize("psi", [[1.0, 1.0], [[0.6, 0.8]], 0.5], ids=["unnormalized", "2-D", "0-d"])
     def test_projector_deviation_rejects_non_states(self, psi):
         with pytest.raises(ValueError, match="state vector must be"):

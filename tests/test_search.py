@@ -165,6 +165,18 @@ class TestIterationCounts:
         with pytest.raises(ValueError, match=ITERATION_COUNT_ERROR):
             fn(make_instance(3), k)
 
+    @pytest.mark.parametrize("k", [2**40, np.array([0, 2**40]), 2**24])
+    def test_running_minimum_sweep_is_bounded_before_the_allocation(self, k):
+        # max_separable_epsilon sweeps 0..max(k): 2**40 steps would take 8 TiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^iteration count must be an integer in \[0, 16777215\], got "):
+                max_separable_epsilon(make_instance(3), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestMaterializedStates:
     """The closed form and the simulator share one check of k and of the n <= 24 guard."""
@@ -483,6 +495,17 @@ class TestPartialTrace:
         for ell in range(n):
             reduced = partial_trace_single_qubit(v, ell)
             np.testing.assert_allclose(reduced.matrix, reduced_matrix(v, ell), rtol=0, atol=1e-14, err_msg=f"{ell}")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", [201, 403])
+    def test_matches_oracle_on_grover_states(self, k):
+        # 7.0e-15 and 9.4e-15 worst entry errors with two BLAS threads, 2.1e-14
+        # and 3.8e-14 with one
+        inst = make_instance(18, (1 << 18) // 3)
+        v = simulate_statevector(inst, k)
+        for ell in range(18):
+            reduced = partial_trace_single_qubit(v, ell)
+            np.testing.assert_allclose(reduced.matrix, reduced_matrix(v, ell), rtol=0, atol=1e-13, err_msg=f"{ell}")
 
     @pytest.mark.parametrize(
         "v, message",
