@@ -12,7 +12,6 @@ from .complexity import (
     classical_queries,
     epsilon_speedup,
     pseudo_queries,
-    scan_record,
     speedup_entanglement_scan,
     table1,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "pseudo_queries",
     "requires_entanglement",
     "rotation_angle",
-    "scan_record",
     "schmidt_product",
     "separability_bound",
     "simulate_statevector",

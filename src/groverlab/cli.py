@@ -217,7 +217,7 @@ def cmd_bound(qubits) -> dict:
 
 
 @_report("scan")
-@click.option("--min-qubits", type=int, required=True, help="Smallest qubit count (> 2).")
+@click.option("--min-qubits", type=int, required=True, help="Smallest qubit count (>= 2).")
 @click.option("--max-qubits", type=int, required=True, help="Largest qubit count (<= 30).")
 def cmd_scan(min_qubits, max_qubits) -> tuple[dict, str]:
     """Speed-up purity threshold versus per-step separability bounds.

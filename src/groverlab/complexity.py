@@ -20,10 +20,10 @@ def classical_queries(N: int) -> float:
     """Expected function evaluations of the systematic classical search.
 
     Stepping through locations in a fixed order and inferring the last one
-    gives expectation (N+2)(N-1)/(2N) over a uniformly placed target.  Any
-    integer type is accepted (``bool`` is not).
+    gives expectation (N+2)(N-1)/(2N) over a uniformly placed target.  N may
+    be of any integer type but ``bool``, up to 2**53, below which floats hold every integer.
     """
-    N = _bounded_int(N, 2, math.inf, "size")
+    N = _bounded_int(N, 2, 2**53, "size")
     return (N + 2) * (N - 1) / (2.0 * N)
 
 
@@ -69,7 +69,7 @@ def table1(n_min: int, n_max: int, include_test_query: bool = True) -> list[Comp
     executes.
     """
     rows = []
-    for n in _qubit_range(n_min, n_max, 1):
+    for n in _qubit_range(n_min, n_max):
         instance = make_instance(n)
         n_class = classical_queries(instance.N)
         eps = max_separable_epsilon(instance, np.arange(instance.completion_step + 1))
@@ -129,31 +129,30 @@ class SpeedupScanRecord:
     last_step_exception: bool
 
 
-def scan_record(n: int) -> SpeedupScanRecord:
-    """Compare the speed-up threshold against every step's bound."""
-    instance = make_instance(n)
-    found = epsilon_speedup(instance)
-    if found is None:
-        raise ValueError(f"no speed-up purity exists at n = {n}; scan is undefined")
-    k_opt, eps_su = found
-    k = np.arange(1, k_opt + 1)
-    bounds = separability_bound(instance, k)
-    entangled = requires_entanglement(eps_su, bounds)
-    # Only the final step may escape, once the rotation is within 1e-12 of pi/2 or past it:
-    # theta_1 = 3*asin(1/2) at n = 2 is pi/2 up to rounding; theta_k_opt <= 0.81*pi/2 for n = 3..30.
-    at_quarter_turn = rotation_angle(instance, k_opt) >= math.pi / 2.0 - 1e-12
-    return SpeedupScanRecord(
-        n=instance.n,
-        k_opt=k_opt,
-        k=k,
-        epsilon_bound=bounds,
-        epsilon_speedup=eps_su,
-        entangled_at_k=entangled,
-        entangled_throughout=bool(entangled[:-1].all() and (entangled[-1] or at_quarter_turn)),
-        last_step_exception=bool(at_quarter_turn and not entangled[-1]),
-    )
-
-
 def speedup_entanglement_scan(n_min: int, n_max: int) -> list[SpeedupScanRecord]:
-    """Scan records for every qubit count in [n_min, n_max], within [3, 30]."""
-    return [scan_record(n) for n in _qubit_range(n_min, n_max, 3)]
+    """Compare the speed-up threshold against every step's bound for each n in [n_min, n_max]; n = 1 raises."""
+    records = []
+    for n in _qubit_range(n_min, n_max):
+        instance = make_instance(n)
+        if (found := epsilon_speedup(instance)) is None:
+            raise ValueError(f"no speed-up purity exists at n = {n}; scan is undefined")
+        k_opt, eps_su = found
+        k = np.arange(1, k_opt + 1)
+        bounds = separability_bound(instance, k)
+        entangled = requires_entanglement(eps_su, bounds)
+        # Only the final step may escape, once the rotation is within 1e-12 of pi/2 or past it:
+        # theta_1 = 3*asin(1/2) at n = 2 is pi/2 up to rounding; theta_k_opt <= 0.81*pi/2 for n = 3..30.
+        at_quarter_turn = rotation_angle(instance, k_opt) >= math.pi / 2.0 - 1e-12
+        records.append(
+            SpeedupScanRecord(
+                n=instance.n,
+                k_opt=k_opt,
+                k=k,
+                epsilon_bound=bounds,
+                epsilon_speedup=eps_su,
+                entangled_at_k=entangled,
+                entangled_throughout=bool(entangled[:-1].all() and (entangled[-1] or at_quarter_turn)),
+                last_step_exception=bool(at_quarter_turn and not entangled[-1]),
+            )
+        )
+    return records

@@ -110,4 +110,5 @@ def requires_entanglement(epsilon, bound):
     Uses a 1e-12 guard so bounds that are 1 up to rounding do not flag
     exact-completion steps.
     """
+    bound = _check_unit_interval(bound, "separability bound")
     return _check_unit_interval(epsilon, "purity parameter") > bound + BOUND_DECISION_TOL

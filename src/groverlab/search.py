@@ -93,9 +93,9 @@ def _check_statevector_request(instance: SearchInstance, k) -> int:
     return k
 
 
-def _qubit_range(n_min, n_max, lowest: int) -> range:
-    """Qubit counts n_min..n_max once integers with lowest <= n_min <= n_max <= MAX_INSTANCE_QUBITS."""
-    n_min = _bounded_int(n_min, lowest, MAX_INSTANCE_QUBITS, "n_min")
+def _qubit_range(n_min, n_max) -> range:
+    """Qubit counts n_min..n_max once integers with 1 <= n_min <= n_max <= MAX_INSTANCE_QUBITS."""
+    n_min = _bounded_int(n_min, 1, MAX_INSTANCE_QUBITS, "n_min")
     return range(n_min, _bounded_int(n_max, n_min, MAX_INSTANCE_QUBITS, "n_max") + 1)
 
 

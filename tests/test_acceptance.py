@@ -25,9 +25,9 @@ from groverlab import (
     make_instance,
     partial_trace_single_qubit,
     projector_deviation,
-    scan_record,
     separability_bound,
     simulate_statevector,
+    speedup_entanglement_scan,
     table1,
     von_neumann_entropy,
 )
@@ -123,7 +123,7 @@ def test_criterion_5_no_speedup_under_separability():
         assert not row.speedup
     exceptions = []
     for n in range(3, 31):
-        record = scan_record(n)
+        record = speedup_entanglement_scan(n, n)[0]
         assert record.entangled_throughout, f"separable step found at n={n}"
         if record.last_step_exception:
             exceptions.append(n)

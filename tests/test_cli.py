@@ -244,6 +244,15 @@ class TestScanCommand:
         result = ok("scan", "--min-qubits", "3", "--max-qubits", "30")
         assert result.stderr.endswith("for every n (no final-step exceptions)\n")
 
+    def test_two_qubit_final_step_exception(self):
+        result = ok("scan", "--min-qubits", "2", "--max-qubits", "2")
+        assert result.stderr.endswith("(final-step exceptions at n = [2])\n")
+
+    def test_single_qubit_is_undefined(self):
+        result = run("scan", "--min-qubits", "1", "--max-qubits", "4")
+        assert_one_line_error(result)
+        assert result.stderr == "Error: no speed-up purity exists at n = 1; scan is undefined\n"
+
     def test_failed_output_prints_no_verdict(self, tmp_path):
         # the verdict follows the rows, so an --output error is the only line
         result = run("scan", "--min-qubits", "3", "--max-qubits", "4", "--output", str(tmp_path / "missing" / "s.csv"))
@@ -259,7 +268,7 @@ class TestScanCommand:
     @pytest.mark.parametrize(
         "args",
         [
-            ("scan", "--min-qubits", "2", "--max-qubits", "5"),
+            ("scan", "--min-qubits", "1", "--max-qubits", "5"),
             ("scan", "--min-qubits", "3", "--max-qubits", "31"),
             ("scan", "--min-qubits", "6", "--max-qubits", "4"),
         ],

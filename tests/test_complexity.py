@@ -12,7 +12,6 @@ from groverlab import (
     make_instance,
     max_separable_epsilon,
     pseudo_queries,
-    scan_record,
     separability_bound,
     speedup_entanglement_scan,
     success_probability,
@@ -181,7 +180,7 @@ class TestTable:
 
     def test_qubit_count_is_a_plain_int(self):
         assert type(table1(np.int64(3), np.int64(3))[0].n) is int
-        assert type(scan_record(np.int64(3)).n) is int
+        assert type(speedup_entanglement_scan(np.int64(3), np.int64(3))[0].n) is int
 
 
 class TestEpsilonSpeedup:
@@ -224,7 +223,7 @@ class TestEpsilonSpeedup:
 
 class TestSpeedupScan:
     def test_three_qubit_record(self):
-        record = scan_record(3)
+        record = speedup_entanglement_scan(3, 3)[0]
         assert record.k_opt == 1
         assert record.epsilon_speedup == pytest.approx(0.5061224489795919, abs=1e-9)
         assert record.k.tolist() == [1]
@@ -236,7 +235,7 @@ class TestSpeedupScan:
     def test_two_qubit_record(self):
         # theta_1 = 3*asin(1/2) is exactly pi/2: the one step completes the
         # search, its bound is 1 and it escapes as the final step
-        record = scan_record(2)
+        record = speedup_entanglement_scan(2, 2)[0]
         assert record.k_opt == 1
         assert record.epsilon_speedup == pytest.approx(23.0 / 27.0, abs=1e-12)
         assert record.entangled_throughout
@@ -244,18 +243,18 @@ class TestSpeedupScan:
 
     def test_single_qubit_is_an_invalid_argument(self):
         with pytest.raises(ValueError, match="no speed-up purity exists at n = 1"):
-            scan_record(1)
+            speedup_entanglement_scan(1, 1)[0]
 
     def test_initial_state_excluded_from_scan(self):
         # the k = 0 bound is 1, never below any speed-up threshold
-        record = scan_record(3)
+        record = speedup_entanglement_scan(3, 3)[0]
         assert record.k.min() >= 1
 
     def test_full_range_entangled_throughout(self):
         for record in speedup_entanglement_scan(3, 20):
             assert record.entangled_throughout
 
-    @pytest.mark.parametrize("span", [(2, 5), (3, 31), (6, 4), (3.5, 5), (3, 5.0), (3, True)])
+    @pytest.mark.parametrize("span", [(1, 5), (3, 31), (6, 4), (3.5, 5), (3, 5.0), (3, True)])
     def test_rejects_bad_ranges(self, span):
         with pytest.raises(ValueError):
             speedup_entanglement_scan(*span)
@@ -347,7 +346,7 @@ class TestScanPastTwenty:
     @pytest.mark.parametrize("n", range(21, 31))
     def test_rows_match_oracle(self, n):
         k_opt, eps_su, bounds = self.oracle(n)
-        record = scan_record(n)
+        record = speedup_entanglement_scan(n, n)[0]
         assert record.k_opt == k_opt
         assert record.k.tolist() == list(range(1, k_opt + 1))
         assert record.epsilon_speedup == pytest.approx(eps_su, rel=1e-12)

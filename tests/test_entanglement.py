@@ -225,6 +225,12 @@ class TestArrayArguments:
         with pytest.raises(ValueError, match="purity"):
             requires_entanglement(epsilon, 0.5)
 
+    @pytest.mark.parametrize("bound", [math.nan, -0.1, 1.5, "x", True])
+    def test_requires_entanglement_rejects_bad_bound(self, bound):
+        # a NaN bound used to read as separable, and -3.0 as entangled
+        with pytest.raises(ValueError, match="^separability bound must "):
+            requires_entanglement(0.5, bound)
+
     @pytest.mark.parametrize("x", [True, "0.5", np.array(["0.1"])], ids=["bool", "str", "str-array"])
     @pytest.mark.parametrize(
         "fn",

@@ -2,7 +2,8 @@
 
 The files under ``golden/`` were produced by the CLI before the per-quantity
 functions were vectorized, except ``scan_21_21.csv``, written when the scan
-range grew past n = 20.  Most must match byte for byte.  The long
+range grew past n = 20, and ``scan_2_4.csv``, written when it reached down to
+the n = 2 final-step exception.  Most must match byte for byte.  The long
 ``trace`` run is compared field by field: integers, booleans, headers and
 row counts exactly, floats within a few ulp, since numpy's vectorized
 ``sin``/``hypot``/``log2``/squaring may round a value differently from the
@@ -25,6 +26,7 @@ BYTE_EXACT = {
     "table1_max4_no_test_query.csv": ["table1", "--max-qubits", "4", "--include-final-test-query", "false"],
     "scan_3_12.csv": ["scan", "--min-qubits", "3", "--max-qubits", "12"],
     "scan_21_21.csv": ["scan", "--min-qubits", "21", "--max-qubits", "21"],
+    "scan_2_4.csv": ["scan", "--min-qubits", "2", "--max-qubits", "4"],
     "bound_12.csv": ["bound", "--qubits", "12"],
     "trace_8_eps0.05.csv": ["trace", "--qubits", "8", "--epsilon", "0.05"],
     "trace_8_eps0.05.json": ["trace", "--qubits", "8", "--epsilon", "0.05", "--format", "json"],

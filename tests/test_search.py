@@ -636,10 +636,10 @@ INTEGER_INPUTS = {
     "make_instance n": (make_instance, 3, (0, 31), "qubit count"),
     "make_instance y": (lambda y: make_instance(3, y), 5, (-1, 8), "target index"),
     "qubit index": (lambda ell: partial_trace_single_qubit(np.full(8, 8**-0.5), ell), 2, (-1, 3), "qubit index"),
-    "classical size": (classical_queries, 8, (1, -4), "size"),
+    "classical size": (classical_queries, 8, (1, -4, 2**53 + 1, 2**600), "size"),
     "table1 n_min": (lambda n: table1(n, 4), 2, (0, 31), "n_min"),
     "table1 n_max": (lambda n: table1(2, n), 4, (1, 31), "n_max"),
-    "scan n_min": (lambda n: speedup_entanglement_scan(n, 4), 3, (2, 31), "n_min"),
+    "scan n_min": (lambda n: speedup_entanglement_scan(n, 4), 3, (0, 31), "n_min"),
     "scan n_max": (lambda n: speedup_entanglement_scan(3, n), 4, (2, 31), "n_max"),
     "closed_form_state k": (
         lambda k: closed_form_state(make_instance(3), k),
