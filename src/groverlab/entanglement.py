@@ -22,6 +22,9 @@ BLOCH_SLACK = 1e-12
 # steps that complete the search exactly are not flagged by noise ~1e-16.
 BOUND_DECISION_TOL = 1e-12
 
+# Steps per chunk of the running-minimum sweep: 512 KiB per float array.
+_SWEEP_CHUNK = 1 << 16
+
 
 def bloch_vector(instance: SearchInstance, k) -> np.ndarray:
     """Closed-form Bloch vector (s_x, 0, s_z) of one qubit after k search iterations.
@@ -95,13 +98,26 @@ def max_separable_epsilon(instance: SearchInstance, k):
     """Largest purity compatible with separability at every step 0..k.
 
     The running minimum of :func:`separability_bound`, swept over 0..max(k);
-    the sweep is capped at 2**24 steps, the length of an n = 24 state.
+    the sweep is capped at 2**24 steps, the length of an n = 24 state.  It
+    runs in chunks of 2**16 steps, carries the minimum from chunk to chunk
+    and picks out the counts of k that fall in each chunk, so beside its
+    result a call holds a few MiB however far it sweeps.  The minimum is
+    exact, so the floats are those of one whole sweep.
     """
     k = _check_iterations(k)
     last = int(k.max(initial=0))
     if last >= 1 << MAX_SIMULATOR_QUBITS:
         raise ValueError(f"iteration count must be an integer in [0, {(1 << MAX_SIMULATOR_QUBITS) - 1}], got {last}")
-    return np.minimum.accumulate(separability_bound(instance, np.arange(last + 1)))[k]
+    minima = np.empty(k.shape)
+    running = np.inf
+    for lo in range(0, last + 1, _SWEEP_CHUNK):
+        chunk = np.minimum.accumulate(separability_bound(instance, np.arange(lo, min(lo + _SWEEP_CHUNK, last + 1))))
+        np.minimum(chunk, running, out=chunk)
+        running = chunk[-1]
+        # a count past this chunk takes its last entry until a later chunk
+        # writes the count's own
+        np.copyto(minima, np.take(chunk, k - lo, mode="clip"), where=k >= lo)
+    return minima[()]
 
 
 def requires_entanglement(epsilon, bound):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,26 @@ class TestSeparabilityBound:
         cum = max_separable_epsilon(inst, k).tolist()
         assert all(b <= a for a, b in zip(cum, cum[1:]))
         assert all(0.0 < value <= 1.0 for value in separability_bound(inst, k))
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_chunked_running_minimum_equals_one_sweep(self, n):
+        # the sweep runs in chunks of 2**16 steps and carries the minimum
+        # across their edges, which gives the floats of one whole sweep
+        inst = make_instance(n)
+        last = 4 * 2**16 + 7
+        whole = np.minimum.accumulate(separability_bound(inst, np.arange(last + 1)))
+        for k in (last, [last, 12345, 0, 2**16 + 7], np.array([[2**16 - 1, 2**16], [2**17, 5]]), np.arange(0, last, 99)):
+            assert np.array_equal(max_separable_epsilon(inst, k), whole[k]), k
+
+    def test_long_sweep_holds_a_few_mib(self):
+        # one sweep over 2**22 steps took 160 MiB
+        tracemalloc.start()
+        try:
+            max_separable_epsilon(make_instance(30), 2**22 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_requires_entanglement_guard(self):
         inst = make_instance(2, 3)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from groverlab import (
     speedup_entanglement_scan,
     table1,
 )
+from groverlab import search
 from oracles import grover_step, reduced_matrix
 
 # The one message for an iteration count outside [0, 2**52 - 1].
@@ -335,15 +337,26 @@ class TestGroverStep:
 
     def test_concurrent_callers_with_a_short_switch_interval(self):
         # three callers, each with its own helper, on a shared input: every
-        # output is still the reference, so no claim or sum is lost or shared
+        # output is still the reference, so no claim or sum is lost or shared.
+        # Each caller then runs its own chain v = step(v), whose dropped
+        # vectors all three claim from the one spare slot: every chain still
+        # ends on the floats of the same chain run alone
         N = 1 << 21
         v = np.random.default_rng(21).standard_normal(N)
         v /= np.linalg.norm(v)
         targets = (0, BLOCK - 1, N - 1)
-        outputs = {}
+        outputs, chains, spares = {}, {}, []
+
+        def chain(inst, w):
+            for _ in range(4):
+                w = apply_grover_step(w, inst)
+                spares.append(len(search._spare))
+            return w
 
         def call(y):
-            outputs[y] = [apply_grover_step(v, make_instance(21, y)) for _ in range(2)]
+            inst = make_instance(21, y)
+            outputs[y] = [apply_grover_step(v, inst) for _ in range(2)]
+            chains[y] = chain(inst, outputs[y][0])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -356,11 +369,128 @@ class TestGroverStep:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in callers)
+        assert max(spares) <= 1
         for y in targets:
             w = v.copy()
             w[y] = -w[y]
             expected = 2.0 * w.mean() - w
             assert all(np.array_equal(out, expected) for out in outputs[y]), y
+            assert np.array_equal(chains[y], chain(make_instance(21, y), expected.copy())), y
+
+
+def read_only(v):
+    v.flags.writeable = False
+    return v
+
+
+def strided(v):
+    # the same amplitudes at every other entry of a vector that owns them
+    spread = np.zeros(2 * v.size)
+    spread[::2] = v
+    return spread[::2]
+
+
+def leading(v):
+    # the same amplitudes at the start of a longer vector that owns them
+    longer = np.zeros(v.size + 8)
+    longer[: v.size] = v
+    return longer[: v.size]
+
+
+def one_stored_entry(v):
+    # the uniform state with one stored entry: owned, but not contiguous
+    u = np.ndarray(v.shape, strides=(0,))
+    u[0] = v.size**-0.5
+    return u
+
+
+class Amplitudes(np.ndarray):
+    pass
+
+
+def subclass(v):
+    a = Amplitudes(v.shape)
+    a[:] = v
+    return a
+
+
+def basis_state_int64(v):
+    e = np.zeros(v.size, dtype=np.int64)
+    e[-1] = 1
+    return e
+
+
+class TestSpareVector:
+    """The step writes into the vector that an earlier step read, once nothing outside the module refers to it.
+
+    At n = 21 both threads write the result, into the spare or a new array.
+    """
+
+    N_QUBITS = 21
+
+    def test_a_held_chain_is_left_untouched(self):
+        inst = make_instance(self.N_QUBITS, BLOCK)
+        v0 = simulate_statevector(inst, 0)
+        copies = [v0.copy()]
+        a = apply_grover_step(v0, inst)
+        copies.append(a.copy())
+        b = apply_grover_step(a, inst)
+        copies.append(b.copy())
+        c = apply_grover_step(b, inst)
+        for held, copy in zip((v0, a, b), copies):
+            assert np.array_equal(held, copy)
+        assert np.array_equal(c, simulate_statevector(inst, 3))
+
+    @pytest.mark.parametrize(
+        "survivor",
+        [lambda v: v[::3], memoryview, np.frombuffer, lambda v: [v]],
+        ids=["slice", "memoryview", "frombuffer", "list"],
+    )
+    def test_a_dropped_result_that_something_still_reads_is_not_overwritten(self, survivor):
+        inst = make_instance(self.N_QUBITS, 0)
+        v = apply_grover_step(simulate_statevector(inst, 0), inst)
+        held = survivor(v)
+        before = np.array(held, copy=True)
+        for _ in range(4):
+            v = apply_grover_step(v, inst)
+        assert np.array_equal(np.asarray(held), before)
+        assert np.array_equal(v, simulate_statevector(inst, 5))
+
+    def test_a_dropped_result_under_a_weak_reference_is_not_overwritten(self):
+        inst = make_instance(self.N_QUBITS, 0)
+        v = apply_grover_step(simulate_statevector(inst, 0), inst)
+        before, ref = v.copy(), weakref.ref(v)
+        for _ in range(4):
+            v = apply_grover_step(v, inst)
+        assert ref() is None or np.array_equal(ref(), before)
+
+    def test_a_chain_equals_the_simulator(self):
+        # every step after the first writes into the vector dropped one step
+        # earlier; 2 * completion_step steps go past the target and back
+        inst = make_instance(self.N_QUBITS, BLOCK - 1)
+        v = simulate_statevector(inst, 0)
+        steps = 2 * inst.completion_step
+        for _ in range(steps):
+            v = apply_grover_step(v, inst)
+        assert np.array_equal(v, simulate_statevector(inst, steps))
+
+    @pytest.mark.parametrize("make", [read_only, strided, leading, one_stored_entry, subclass, basis_state_int64])
+    def test_an_input_it_may_not_write_is_not_kept(self, make):
+        # once the caller drops it, such an input is freed at once rather
+        # than kept as the spare, so no later step can write into it
+        inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
+        x = make(closed_form_state(inst, 3))
+        # a view's owner stays with the caller; an input that owns its
+        # amplitudes has none
+        owner = x.base
+        before = None if owner is None else owner.copy()
+        v = apply_grover_step(x, inst)
+        gone = weakref.ref(x)
+        del x
+        assert gone() is None
+        for _ in range(2):
+            v = apply_grover_step(v, inst)
+        assert owner is None or np.array_equal(owner, before)
 
 
 class TestSimulateStatevector:
@@ -571,6 +701,12 @@ class TestMemory:
     VECTOR = 8 << 20
     SLACK = 1 << 20
 
+    @pytest.fixture(autouse=True)
+    def without_a_spare(self):
+        # a spare vector left by an earlier test would take the first step's
+        # result, so that step's own allocation would go unmeasured
+        search._spare.clear()
+
     @staticmethod
     def peak_bytes(fn, *args) -> int:
         tracemalloc.start()
@@ -591,6 +727,19 @@ class TestMemory:
         inst = make_instance(21, inst_target(21))
         v = closed_form_state(inst, 3)
         assert self.peak_bytes(apply_grover_step, v, inst) <= 2 * self.VECTOR + self.SLACK
+
+    def test_chained_step_allocates_no_vector(self):
+        # the warm-up step keeps its dropped input as the spare, and the traced
+        # step writes into it; however sizes mix, the module keeps at most one
+        # spare
+        inst = make_instance(21, inst_target(21))
+        v = apply_grover_step(closed_form_state(inst, 3), inst)
+        assert self.peak_bytes(apply_grover_step, v, inst) <= self.SLACK
+        assert len(search._spare) <= 1
+        for n in (21, 20, 20, 21, 3):
+            other = make_instance(n, 0)
+            apply_grover_step(closed_form_state(other, 1), other)
+            assert len(search._spare) <= 1
 
     def test_simulation_holds_one_vector(self):
         inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
