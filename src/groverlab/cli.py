@@ -14,9 +14,11 @@ import contextlib
 import functools
 import json
 import os
+import re
 
 import click
 import numpy as np
+import orjson
 
 from .complexity import speedup_entanglement_scan, table1
 from .entanglement import (
@@ -45,6 +47,9 @@ OUTPUT_OPTION = click.option(
 # Dense-matrix verification in the fluctuations report caps the dimension.
 MAX_FLUCTUATION_QUBITS = 8
 
+# An orjson exponent of one digit, which repr pads to two (2.5e-7 -> 2.5e-07).
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d\b)")
+
 
 class _InvalidArgument(click.ClickException):
     """One ``Error:`` line on stderr and exit status 2."""
@@ -53,11 +58,28 @@ class _InvalidArgument(click.ClickException):
 
 
 def _cells(values) -> list[str]:
-    """A column as CSV/JSON literals: true/false, integers, shortest-repr floats."""
+    """A column as CSV/JSON literals: true/false, integers, shortest-repr floats.
+
+    Every cell is ``repr``'s text.  orjson writes the same shortest digits,
+    and the same text for integers and for floats in ``repr``'s fixed-point
+    range, zero or ``1e-4 <= |x| < 1e16``.  Below ``1e-5`` it differs only
+    in an unpadded exponent (``2.5e-7``), which is padded; every other
+    float, NaN and infinities included, is formatted by ``repr``.
+    """
     values = np.asarray(values)
     if values.dtype == bool:
         return np.where(values, "true", "false").tolist()
-    return list(map(repr, values.tolist()))
+    if not values.size:
+        return []
+    text = orjson.dumps(values.tolist()).decode()[1:-1]
+    if values.dtype.kind != "f":
+        return text.split(",")
+    cells = _ONE_DIGIT_EXPONENT.sub("e-0", text).split(",")
+    size = np.abs(values)
+    other = np.flatnonzero(~((size < 1e-5) | (size >= 1e-4) & (size < 1e16)))
+    for i, cell in zip(other.tolist(), map(repr, values[other].tolist())):
+        cells[i] = cell
+    return cells
 
 
 def _stack(records) -> dict:

@@ -3,11 +3,14 @@ import math
 import os
 import threading
 
+import hypothesis.extra.numpy as hnp
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, strategies as st
 
 from groverlab import separability_bound, make_instance, table1
-from groverlab.cli import cli
+from groverlab.cli import _cells, cli
 
 TABLE_HEADER = "n,N,k_opt,n_pseudo_min,n_class,epsilon_used,speedup"
 TRACE_HEADER = (
@@ -48,6 +51,52 @@ def csv_rows(result):
     lines = result.stdout.rstrip("\n").split("\n")
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+class TestCellsAreRepr:
+    """Every float cell is ``repr``'s text, whichever writer produced it.
+
+    ``_cells`` takes orjson's text where it matches ``repr``'s layout and
+    ``repr`` elsewhere; a new orjson that writes any cell differently fails here.
+    """
+
+    @staticmethod
+    def assert_repr(values):
+        values = np.asarray(values)
+        assert _cells(values) == [repr(x) for x in values.tolist()]
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(min_value=0, max_value=40),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                # The layout boundaries at 1e-5, 1e-4 and 1e16.
+                st.floats(min_value=-2e-4, max_value=2e-4),
+                st.floats(min_value=1e15, max_value=1e17),
+            ),
+        )
+    )
+    @example(np.array([0.0, -0.0, 5e-324, -2.5e-7, np.nan, np.inf, -np.inf]))
+    def test_float_arrays(self, values):
+        self.assert_repr(values)
+
+    def test_edges(self):
+        edges = [1e-10, 1e-5, 1e-4, 1e16]
+        values = [
+            *np.nextafter(edges, 0.0),
+            *edges,
+            *np.nextafter(edges, np.inf),
+            5e-324,
+            2.0**53,
+            536870912.0,
+            np.finfo(np.float64).max,
+        ]
+        self.assert_repr(values + [-x for x in values])
+
+    def test_integers_and_bools(self):
+        self.assert_repr([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max])
+        assert _cells(np.array([True, False])) == ["true", "false"]
 
 
 class TestTable1Command:

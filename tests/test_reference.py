@@ -109,7 +109,7 @@ def test_quantities_carrying_cos_theta(table):
     strict=True,
     raises=AssertionError,
     reason="entropies are formed from 1 - s with s near 1 and lose about 1e-7 relative at n = 30; "
-    "ROADMAP item 2's entropy fix (lambda2 from the Schmidt product, log1p) removes this marker",
+    "ROADMAP item 1's entropy fix (lambda2 from the Schmidt product, log1p) removes this marker",
 )
 def test_entropies(table):
     # Computed from lambda1*lambda2, the entropies inherit its conditioning.
