@@ -12,9 +12,7 @@ implemented search operator never leaves the real span of the basis states.
 import itertools
 import math
 import operator
-import sys
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +31,6 @@ _CHUNK = 1 << 16
 # Amplitudes per block that a thread of the search step claims at a time:
 # 16 chunks, 8 MiB.
 _BLOCK = 16 * _CHUNK
-
-# At most one vector that an earlier search step read: the next step writes
-# into it instead of a new array if nothing outside this module still refers
-# to it.  The lock makes the check and the claim one act across threads.
-_spare: list[np.ndarray] = []
-_spare_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -85,10 +77,11 @@ def _check_iterations(k) -> np.ndarray:
     """``k`` as an int64 array if every entry is an integer in [0, 2**52 - 1] of an integer dtype (not ``bool``).
 
     2k+1 is exact in float64 up to there; the interval is checked before the
-    widening to int64, so no count wraps around or is narrowed.
+    widening to int64, so no count wraps around or is narrowed.  An empty
+    array, of any dtype, holds no counts.
     """
     k_arr = np.asarray(k)
-    if k_arr.dtype.kind not in "iu" or np.any((k_arr < 0) | (k_arr > MAX_ITERATIONS)):
+    if k_arr.size and (k_arr.dtype.kind not in "iu" or np.any((k_arr < 0) | (k_arr > MAX_ITERATIONS))):
         raise ValueError(f"iteration count must be an integer in [0, {MAX_ITERATIONS}], got {k!r}")
     return k_arr.astype(np.int64)
 
@@ -255,70 +248,41 @@ def _step_sums(v: np.ndarray, y: int) -> tuple[float, float]:
 
 
 def apply_grover_step(amplitudes, instance: SearchInstance) -> np.ndarray:
-    """Apply one search iteration to a normalized real amplitude vector.
+    """Advance a normalized real amplitude vector by one search iteration, in place.
 
     The step flips the sign of the target amplitude, reflects the result
     about the uniform superposition, and negates globally.  Equivalently,
     each application advances the rotation angle by 2*theta0.
 
-    The input is read once, in chunks of 2**16 amplitudes, for its sum of
-    squares (the unit-norm check) and its sum with the target negated; the
-    output is then written once, into a new array unless the spare is free.
-    Both passes are split into blocks of 2**20 amplitudes, which the calling
-    thread and one helper thread claim in turn, so a vector of n > 20
-    qubits is read and written by two cores; the sums are combined in a
-    fixed order, so the output is the same floats for any split.
-
-    The caller's array is left untouched, and the step holds two vectors at
-    its peak.  A plain, writeable, C-contiguous float64 input that owns its
-    data is kept as the spare, so one vector (128 MiB at n = 24) may stay
-    held between calls.  The next step writes into the spare if CPython's reference count
-    shows that nothing outside this module refers to it any more: in the
-    loop ``v = apply_grover_step(v, instance)``, every step after the first
-    writes into the vector that the caller dropped one step earlier, which
-    the process has already paged in.
+    It overwrites ``amplitudes``, which must be a writeable, C-contiguous
+    float64 ``numpy.ndarray``, with the next state and returns it, so it
+    holds one vector; every check comes before the first write, so a
+    rejected step writes nothing.  The vector is read once, in chunks of
+    2**16 amplitudes, for its sum of squares (the unit-norm check) and its
+    sum with the target negated, then written once.  Both passes run on two
+    threads (see :func:`_on_two_threads`) over blocks of 2**20 amplitudes,
+    and the sums are combined in a fixed order, so the result is the same
+    floats for any split.
     """
-    v = _real_vector(amplitudes)
+    _real_vector(amplitudes)  # for its message on complex, string, bool and 2-D input
+    v = amplitudes
+    if not (type(v) is np.ndarray and v.dtype == np.float64 and v.flags.c_contiguous and v.flags.writeable):
+        raise ValueError("amplitudes must be a writeable, C-contiguous float64 numpy.ndarray, which the step overwrites")
     if v.shape != (instance.N,):
         raise ValueError(f"expected {instance.N} amplitudes, got shape {v.shape}")
     squares, flipped = _step_sums(v, instance.y)
     _check_unit_norm(math.sqrt(squares))
+    target = v[instance.y]
     # -(1 - 2|u><u|) f  with u the uniform state and f the input with its
     # target negated: every component of 2<u|f>|u> is twice the mean of f.
     two_mean = 2.0 * (flipped / instance.N)
-    out = _output_vector(instance.N)
 
     def write(lo, hi):
-        np.subtract(two_mean, v[lo:hi], out=out[lo:hi])
+        np.subtract(two_mean, v[lo:hi], out=v[lo:hi])
 
     _on_two_threads(write, instance.N)
-    out[instance.y] = two_mean + v[instance.y]
-    _keep_spare(amplitudes)
-    return out
-
-
-def _output_vector(N: int) -> np.ndarray:
-    """The spare vector if it holds N amplitudes and nothing outside this module refers to it, else a new array.
-
-    The slot is emptied either way, so a spare that cannot be used is not
-    held through the step.  CPython's reference count tells whether the
-    spare is free: it is 2 (the slot and getrefcount's argument) unless a
-    caller's name, a container, a view (through ``.base``), a memoryview or
-    an array made by ``np.frombuffer`` still holds it.  A weak reference
-    could still reach it, so it rules the spare out too.
-    """
-    with _spare_lock:
-        if _spare and _spare[0].shape[0] == N and sys.getrefcount(_spare[0]) == 2 and not weakref.getweakrefcount(_spare[0]):
-            return _spare.pop()
-        _spare.clear()
-    return np.empty(N)
-
-
-def _keep_spare(a) -> None:
-    """Make ``a`` the spare if it is a plain, writeable, C-contiguous float64 array that owns its data."""
-    if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata and a.flags.c_contiguous and a.flags.writeable:
-        with _spare_lock:
-            _spare[:] = [a]
+    v[instance.y] = two_mean + target
+    return v
 
 
 def simulate_statevector(instance: SearchInstance, k) -> np.ndarray:

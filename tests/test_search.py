@@ -2,14 +2,15 @@ import math
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import mpmath
 import numpy as np
 import pytest
 
 from groverlab import (
+    SearchInstance,
     apply_grover_step,
+    bloch_vector,
     classical_queries,
     closed_form_state,
     make_instance,
@@ -21,7 +22,6 @@ from groverlab import (
     speedup_entanglement_scan,
     table1,
 )
-from groverlab import search
 from oracles import grover_step, reduced_matrix
 
 # The one message for an iteration count outside [0, 2**52 - 1].
@@ -167,6 +167,14 @@ class TestIterationCounts:
         with pytest.raises(ValueError, match=ITERATION_COUNT_ERROR):
             fn(make_instance(3), k)
 
+    @pytest.mark.parametrize("fn", [rotation_angle, bloch_vector, schmidt_product, max_separable_epsilon])
+    @pytest.mark.parametrize("k", [[], np.array([]), np.array([], dtype=np.uint8)])
+    def test_an_empty_array_is_no_counts(self, fn, k):
+        # np.asarray([]) is float64, yet holds no count that is not an integer
+        result = fn(make_instance(3), k)
+        assert result.size == 0
+        np.testing.assert_array_equal(result, fn(make_instance(3), np.array([], dtype=np.int64)))
+
     @pytest.mark.parametrize("k", [2**40, np.array([0, 2**40]), 2**24])
     def test_running_minimum_sweep_is_bounded_before_the_allocation(self, k):
         # max_separable_epsilon sweeps 0..max(k): 2**40 steps would take 8 TiB
@@ -249,10 +257,10 @@ class TestGroverStep:
         with pytest.raises(ValueError):
             apply_grover_step(np.full(4, 0.5), inst)
 
-    def test_leaves_its_input_untouched(self):
-        # bit for bit the out-of-place reference, without writing to the
-        # caller's array or returning a view of it; at n = 21 and 22 the two
-        # threads read and write two and four blocks, and none outlives the call
+    def test_overwrites_its_input_with_the_next_state(self):
+        # the result is the caller's array, bit for bit the out-of-place
+        # reference on a copy taken first; at n = 21 and 22 the two threads
+        # read and write two and four blocks, and none outlives the call
         threads = threading.active_count()
         for n in (*range(1, 13), 21, 22):
             N = 1 << n
@@ -260,15 +268,11 @@ class TestGroverStep:
                 inst = make_instance(n, y)
                 v = simulate_statevector(inst, 0)
                 for _ in range(2 * inst.completion_step if n <= 12 else 2):
-                    before = v.copy()
-                    out = apply_grover_step(v, inst)
-                    assert threading.active_count() == threads
-                    assert np.array_equal(v, before)
-                    assert not np.shares_memory(out, v)
                     w = v.copy()
                     w[y] = -w[y]
-                    np.testing.assert_array_equal(out, 2.0 * w.mean() - w)
-                    v = out
+                    assert apply_grover_step(v, inst) is v
+                    assert threading.active_count() == threads
+                    np.testing.assert_array_equal(v, 2.0 * w.mean() - w)
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20, 21, 22])
     def test_matches_oracles_on_random_states(self, n):
@@ -281,7 +285,7 @@ class TestGroverStep:
         v = np.random.default_rng(n).standard_normal(N)
         v /= np.linalg.norm(v)
         for y in (0, N // 3, N // 2 + 12345, N - 1) if n <= 20 else threaded_targets(N):
-            out = apply_grover_step(v, make_instance(n, y))
+            out = apply_grover_step(v.copy(), make_instance(n, y))
             w = v.copy()
             w[y] = -w[y]
             assert np.array_equal(out, 2.0 * w.mean() - w), y
@@ -336,27 +340,25 @@ class TestGroverStep:
         assert np.array_equal(v, np.full(N, N**-0.5))
 
     def test_concurrent_callers_with_a_short_switch_interval(self):
-        # three callers, each with its own helper, on a shared input: every
-        # output is still the reference, so no claim or sum is lost or shared.
-        # Each caller then runs its own chain v = step(v), whose dropped
-        # vectors all three claim from the one spare slot: every chain still
-        # ends on the floats of the same chain run alone
+        # three callers, each with its own helper and its own copies of one
+        # input: every output is still the reference, so no claim or sum is
+        # lost or shared.  Each caller then runs its own chain v = step(v):
+        # every chain still ends on the floats of the same chain run alone
         N = 1 << 21
         v = np.random.default_rng(21).standard_normal(N)
         v /= np.linalg.norm(v)
         targets = (0, BLOCK - 1, N - 1)
-        outputs, chains, spares = {}, {}, []
+        outputs, chains = {}, {}
 
         def chain(inst, w):
             for _ in range(4):
                 w = apply_grover_step(w, inst)
-                spares.append(len(search._spare))
             return w
 
         def call(y):
             inst = make_instance(21, y)
-            outputs[y] = [apply_grover_step(v, inst) for _ in range(2)]
-            chains[y] = chain(inst, outputs[y][0])
+            outputs[y] = [apply_grover_step(v.copy(), inst) for _ in range(2)]
+            chains[y] = chain(inst, outputs[y][0].copy())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -369,7 +371,6 @@ class TestGroverStep:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in callers)
-        assert max(spares) <= 1
         for y in targets:
             w = v.copy()
             w[y] = -w[y]
@@ -388,13 +389,6 @@ def strided(v):
     spread = np.zeros(2 * v.size)
     spread[::2] = v
     return spread[::2]
-
-
-def leading(v):
-    # the same amplitudes at the start of a longer vector that owns them
-    longer = np.zeros(v.size + 8)
-    longer[: v.size] = v
-    return longer[: v.size]
 
 
 def one_stored_entry(v):
@@ -420,77 +414,32 @@ def basis_state_int64(v):
     return e
 
 
-class TestSpareVector:
-    """The step writes into the vector that an earlier step read, once nothing outside the module refers to it.
+class TestRejectedStep:
+    """A step that raises has written nothing: every check runs before the first write."""
 
-    At n = 21 both threads write the result, into the spare or a new array.
-    """
-
-    N_QUBITS = 21
-
-    def test_a_held_chain_is_left_untouched(self):
-        inst = make_instance(self.N_QUBITS, BLOCK)
-        v0 = simulate_statevector(inst, 0)
-        copies = [v0.copy()]
-        a = apply_grover_step(v0, inst)
-        copies.append(a.copy())
-        b = apply_grover_step(a, inst)
-        copies.append(b.copy())
-        c = apply_grover_step(b, inst)
-        for held, copy in zip((v0, a, b), copies):
-            assert np.array_equal(held, copy)
-        assert np.array_equal(c, simulate_statevector(inst, 3))
-
-    @pytest.mark.parametrize(
-        "survivor",
-        [lambda v: v[::3], memoryview, np.frombuffer, lambda v: [v]],
-        ids=["slice", "memoryview", "frombuffer", "list"],
-    )
-    def test_a_dropped_result_that_something_still_reads_is_not_overwritten(self, survivor):
-        inst = make_instance(self.N_QUBITS, 0)
-        v = apply_grover_step(simulate_statevector(inst, 0), inst)
-        held = survivor(v)
-        before = np.array(held, copy=True)
-        for _ in range(4):
-            v = apply_grover_step(v, inst)
-        assert np.array_equal(np.asarray(held), before)
-        assert np.array_equal(v, simulate_statevector(inst, 5))
-
-    def test_a_dropped_result_under_a_weak_reference_is_not_overwritten(self):
-        inst = make_instance(self.N_QUBITS, 0)
-        v = apply_grover_step(simulate_statevector(inst, 0), inst)
-        before, ref = v.copy(), weakref.ref(v)
-        for _ in range(4):
-            v = apply_grover_step(v, inst)
-        assert ref() is None or np.array_equal(ref(), before)
-
-    def test_a_chain_equals_the_simulator(self):
-        # every step after the first writes into the vector dropped one step
-        # earlier; 2 * completion_step steps go past the target and back
-        inst = make_instance(self.N_QUBITS, BLOCK - 1)
-        v = simulate_statevector(inst, 0)
-        steps = 2 * inst.completion_step
-        for _ in range(steps):
-            v = apply_grover_step(v, inst)
-        assert np.array_equal(v, simulate_statevector(inst, steps))
-
-    @pytest.mark.parametrize("make", [read_only, strided, leading, one_stored_entry, subclass, basis_state_int64])
-    def test_an_input_it_may_not_write_is_not_kept(self, make):
-        # once the caller drops it, such an input is freed at once rather
-        # than kept as the spare, so no later step can write into it
-        inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
+    @pytest.mark.parametrize("make", [read_only, strided, one_stored_entry, subclass, basis_state_int64, list])
+    def test_an_input_it_may_not_overwrite(self, make):
+        # a write through a view lands in its owner, so the owner's bytes are
+        # compared; a zero-stride view would take every write into one entry
+        inst = make_instance(4, inst_target(4))
         x = make(closed_form_state(inst, 3))
-        # a view's owner stays with the caller; an input that owns its
-        # amplitudes has none
-        owner = x.base
-        before = None if owner is None else owner.copy()
-        v = apply_grover_step(x, inst)
-        gone = weakref.ref(x)
-        del x
-        assert gone() is None
-        for _ in range(2):
-            v = apply_grover_step(v, inst)
-        assert owner is None or np.array_equal(owner, before)
+        owner = x if getattr(x, "base", None) is None else x.base
+        before = np.array(owner).tobytes()
+        with pytest.raises(ValueError, match="writeable, C-contiguous float64"):
+            apply_grover_step(x, inst)
+        assert np.array(owner).tobytes() == before
+
+    @pytest.mark.parametrize("y", [9, 1 << 16])
+    def test_a_target_outside_the_vector(self, y):
+        # a hand-built instance bypasses make_instance's range check.  Target
+        # 9 falls in the one 2**16-amplitude chunk that the sums read; 2**16
+        # falls past it, so only the read of the target entry catches it
+        inst = SearchInstance(n=3, N=8, y=y, theta0=math.asin(8**-0.5))
+        v = closed_form_state(make_instance(3, 5), 1)
+        before = v.tobytes()
+        with pytest.raises(IndexError):
+            apply_grover_step(v, inst)
+        assert v.tobytes() == before
 
 
 class TestSimulateStatevector:
@@ -701,12 +650,6 @@ class TestMemory:
     VECTOR = 8 << 20
     SLACK = 1 << 20
 
-    @pytest.fixture(autouse=True)
-    def without_a_spare(self):
-        # a spare vector left by an earlier test would take the first step's
-        # result, so that step's own allocation would go unmeasured
-        search._spare.clear()
-
     @staticmethod
     def peak_bytes(fn, *args) -> int:
         tracemalloc.start()
@@ -716,30 +659,15 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_step_holds_one_new_vector(self):
-        inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
-        v = closed_form_state(inst, 3)
-        assert self.peak_bytes(apply_grover_step, v, inst) <= self.VECTOR + self.SLACK
-
-    def test_step_on_two_threads_holds_one_new_vector(self):
+    @pytest.mark.parametrize("n", [N_QUBITS, 21])
+    def test_step_allocates_no_vector(self, n):
         # n = 21 splits the step between two threads, and tracemalloc counts
-        # what either of them allocates
-        inst = make_instance(21, inst_target(21))
+        # what either of them allocates; the second, chained step takes the
+        # path of the first
+        inst = make_instance(n, inst_target(n))
         v = closed_form_state(inst, 3)
-        assert self.peak_bytes(apply_grover_step, v, inst) <= 2 * self.VECTOR + self.SLACK
-
-    def test_chained_step_allocates_no_vector(self):
-        # the warm-up step keeps its dropped input as the spare, and the traced
-        # step writes into it; however sizes mix, the module keeps at most one
-        # spare
-        inst = make_instance(21, inst_target(21))
-        v = apply_grover_step(closed_form_state(inst, 3), inst)
-        assert self.peak_bytes(apply_grover_step, v, inst) <= self.SLACK
-        assert len(search._spare) <= 1
-        for n in (21, 20, 20, 21, 3):
-            other = make_instance(n, 0)
-            apply_grover_step(closed_form_state(other, 1), other)
-            assert len(search._spare) <= 1
+        for _ in range(2):
+            assert self.peak_bytes(apply_grover_step, v, inst) <= self.SLACK
 
     def test_simulation_holds_one_vector(self):
         inst = make_instance(self.N_QUBITS, inst_target(self.N_QUBITS))
