@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .search import MAX_SIMULATOR_QUBITS, SearchInstance, _check_iterations, _check_unit_interval, rotation_angle
+from .search import MAX_SIMULATOR_QUBITS, SearchInstance, _Angles, _check_iterations, _check_unit_interval
 
 BLOCH_SLACK = 1e-12
 
@@ -31,12 +31,14 @@ def bloch_vector(instance: SearchInstance, k) -> np.ndarray:
 
     Independent of which qubit is kept and of the target index, in the
     target frame.  An array of k gives an array of shape (3, *k.shape).
+    The sines and cosines of theta_k come from the angle kernel of
+    :mod:`groverlab.search`.
     """
     N = instance.N
-    theta = rotation_angle(instance, k)
-    c2 = np.cos(theta) ** 2
-    s_x = (N - 2) / (N - 1) * c2 + np.sin(2 * theta) / math.sqrt(N - 1)
-    s_z = c2 / (N - 1) - np.sin(theta) ** 2
+    angles = _Angles(instance, k)
+    c2 = angles.cos_theta() ** 2
+    s_x = (N - 2) / (N - 1) * c2 + angles.sin_2theta() / math.sqrt(N - 1)
+    s_z = c2 / (N - 1) - angles.sin_theta() ** 2
     return np.array([s_x, np.zeros_like(s_x), s_z])
 
 
@@ -70,18 +72,14 @@ def hs_distance(s):
 def schmidt_product(instance: SearchInstance, k):
     """Eigenvalue product lambda1*lambda2 of the one-qubit reduced state.
 
-    Closed form N(N-2)/(2(N-1)^2) * sin^2(2k*theta0) * cos^2(theta_k);
+    Closed form N(N-2)/(2(N-1)^2) * sin^2(2k*theta0) * cos^2(theta_k),
+    with both factors from the angle kernel of :mod:`groverlab.search`;
     zero exactly when the state is a product state across the one-qubit
     versus rest bipartition.
     """
-    k = _check_iterations(k)
     N = instance.N
-    theta = rotation_angle(instance, k)
-    return (
-        N * (N - 2) / (2.0 * (N - 1) ** 2)
-        * np.sin(2 * instance.theta0 * k) ** 2
-        * np.cos(theta) ** 2
-    )
+    angles = _Angles(instance, k)
+    return N * (N - 2) / (2.0 * (N - 1) ** 2) * angles.sin_2k_theta0() ** 2 * angles.cos_theta() ** 2
 
 
 def separability_bound(instance: SearchInstance, k):

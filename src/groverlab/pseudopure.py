@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .search import SearchInstance, _check_state, _check_unit_interval, rotation_angle
+from .search import SearchInstance, _Angles, _check_state, _check_unit_interval
 
 TRACE_ATOL = 1e-10
 
@@ -35,11 +35,12 @@ def success_probability(instance: SearchInstance, k, epsilon):
     p(k) = [1 + eps*(N sin^2(theta_k) - 1)] / N, the target-diagonal entry
     of the ensemble density matrix.  Reduces to 1/N at eps = 0 and to the
     pure-state probability sin^2(theta_k) at eps = 1.  ``k`` and ``epsilon``
-    may be arrays; they broadcast against each other.
+    may be arrays; they broadcast against each other.  sin(theta_k) comes
+    from the angle kernel of :mod:`groverlab.search`.
     """
     epsilon = _check_unit_interval(epsilon, "purity parameter")
     N = instance.N
-    s2 = np.sin(rotation_angle(instance, k)) ** 2
+    s2 = _Angles(instance, k).sin_theta() ** 2
     return (1.0 + epsilon * (N * s2 - 1.0)) / N
 
 

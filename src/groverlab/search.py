@@ -54,6 +54,25 @@ class SearchInstance:
     y: int
     theta0: float
 
+    def __post_init__(self):
+        """Hold every instance, hand-built ones too, to the rules of :func:`make_instance`.
+
+        The step and the closed forms index and rotate by these fields
+        without checking them again.
+        """
+        n = _bounded_int(self.n, 1, MAX_INSTANCE_QUBITS, "qubit count")
+        N = 1 << n
+        if self.N != N:
+            raise ValueError(f"N must be 2**n = {N}, got {self.N!r}")
+        y = _bounded_int(self.y, 0, N - 1, "target index")
+        theta0 = math.asin(1.0 / math.sqrt(N))
+        if self.theta0 != theta0:
+            raise ValueError(f"theta0 must be asin(1/sqrt(N)) = {theta0!r}, got {self.theta0!r}")
+        # plain ints, whatever integer type was given
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "y", y)
+
     @property
     def completion_step(self) -> int:
         """First k whose rotation beyond the start, 2k*theta0, reaches pi/2: ceil(pi/(4*theta0))."""
@@ -78,12 +97,13 @@ def _check_iterations(k) -> np.ndarray:
 
     2k+1 is exact in float64 up to there; the interval is checked before the
     widening to int64, so no count wraps around or is narrowed.  An empty
-    array, of any dtype, holds no counts.
+    array, of any dtype, holds no counts.  An int64 array is returned as
+    itself, not copied.
     """
     k_arr = np.asarray(k)
     if k_arr.size and (k_arr.dtype.kind not in "iu" or np.any((k_arr < 0) | (k_arr > MAX_ITERATIONS))):
         raise ValueError(f"iteration count must be an integer in [0, {MAX_ITERATIONS}], got {k!r}")
-    return k_arr.astype(np.int64)
+    return k_arr.astype(np.int64, copy=False)
 
 
 def _check_statevector_request(instance: SearchInstance, k) -> int:
@@ -125,8 +145,36 @@ def make_instance(n: int, y: int | None = None) -> SearchInstance:
     """
     n = _bounded_int(n, 1, MAX_INSTANCE_QUBITS, "qubit count")
     N = 1 << n
-    y = N - 1 if y is None else _bounded_int(y, 0, N - 1, "target index")
-    return SearchInstance(n=n, N=N, y=y, theta0=math.asin(1.0 / math.sqrt(N)))
+    return SearchInstance(n=n, N=N, y=N - 1 if y is None else y, theta0=math.asin(1.0 / math.sqrt(N)))
+
+
+class _Angles:
+    """The search angle theta_k = (2k+1) * theta0 after k steps, and its sines and cosines.
+
+    Every closed form over k takes its trig from here: :func:`rotation_angle`,
+    the Bloch vector, the Schmidt product and the success probability.
+    ``k`` is checked once, when the angles are made.  Each sine or cosine
+    is evaluated by numpy when its method is called, has the shape of k and
+    is not kept, so a caller holds each array no longer than it uses it.
+    """
+
+    def __init__(self, instance: SearchInstance, k):
+        self._k = _check_iterations(k)
+        self._theta0 = instance.theta0
+        self.theta = (2 * self._k + 1) * instance.theta0
+
+    def sin_theta(self):
+        return np.sin(self.theta)
+
+    def cos_theta(self):
+        return np.cos(self.theta)
+
+    def sin_2theta(self):
+        return np.sin(2 * self.theta)
+
+    def sin_2k_theta0(self):
+        """Sine of the rotation 2k * theta0 beyond the start."""
+        return np.sin(2 * self._theta0 * self._k)
 
 
 def rotation_angle(instance: SearchInstance, k):
@@ -134,14 +182,17 @@ def rotation_angle(instance: SearchInstance, k):
 
     ``k`` is an iteration count or an array of them; the result has its shape.
     """
-    return (2 * _check_iterations(k) + 1) * instance.theta0
+    return _Angles(instance, k).theta
 
 
 def closed_form_state(instance: SearchInstance, k) -> np.ndarray:
     """Length-N amplitudes after k iterations: sin(theta_k) at the target, cos(theta_k)/sqrt(N-1) elsewhere.
 
     :func:`simulate_statevector` reaches the same array step by step; both
-    take one iteration count and allow n <= 24.
+    take one iteration count and allow n <= 24.  The one angle is taken
+    through scalar ``math.sin``/``math.cos``, not the numpy kernel of the
+    closed forms: numpy's ``sin`` may differ from libm by an ulp on some
+    CPUs, and the ``fluctuations`` golden file holds these bytes.
     """
     theta = rotation_angle(instance, _check_statevector_request(instance, k))
     v = np.full(instance.N, math.cos(theta) / math.sqrt(instance.N - 1))

@@ -8,14 +8,28 @@ the n = 2 final-step exception.  Most must match byte for byte.  The long
 row counts exactly, floats within a few ulp, since numpy's vectorized
 ``sin``/``hypot``/``log2``/squaring may round a value differently from the
 scalar ``math`` route by about one ulp.
+
+Past the byte-exact files, up to n = 30, the closed forms behind those
+columns are pinned bit for bit to their numpy expressions, written out
+here in full.
 """
 
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from groverlab import (
+    bloch_vector,
+    make_instance,
+    max_separable_epsilon,
+    rotation_angle,
+    schmidt_product,
+    separability_bound,
+    success_probability,
+)
 from groverlab.cli import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -85,3 +99,25 @@ def test_field_by_field(name):
             if not cells_match(column, w, g):
                 mismatches.append((row, column, w, g))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_closed_forms_are_their_expressions_bit_for_bit(n):
+    # every step a trace or bound prints, k = 0..completion_step
+    inst = make_instance(n)
+    N = inst.N
+    k = np.arange(inst.completion_step + 1)
+    theta = (2 * k + 1) * inst.theta0
+    c2 = np.cos(theta) ** 2
+    s_x = (N - 2) / (N - 1) * c2 + np.sin(2 * theta) / math.sqrt(N - 1)
+    s_z = c2 / (N - 1) - np.sin(theta) ** 2
+    product = N * (N - 2) / (2.0 * (N - 1) ** 2) * np.sin(2 * inst.theta0 * k) ** 2 * np.cos(theta) ** 2
+    bound = 1.0 / (1.0 + N * np.sqrt(product))
+    assert np.array_equal(rotation_angle(inst, k), theta)
+    assert np.array_equal(bloch_vector(inst, k), np.array([s_x, np.zeros_like(s_x), s_z]))
+    assert np.array_equal(schmidt_product(inst, k), product)
+    assert np.array_equal(separability_bound(inst, k), bound)
+    assert np.array_equal(max_separable_epsilon(inst, k), np.minimum.accumulate(bound))
+    for eps in (0.3, 1.0):
+        p = (1.0 + eps * (N * np.sin(theta) ** 2 - 1.0)) / N
+        assert np.array_equal(success_probability(inst, k, eps), p)

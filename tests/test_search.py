@@ -76,6 +76,27 @@ class TestMakeInstance:
         with pytest.raises(ValueError):
             make_instance(n, y)
 
+    def test_a_hand_built_instance_is_a_made_one(self):
+        inst = SearchInstance(n=np.int64(3), N=np.uint8(8), y=np.int16(5), theta0=make_instance(3).theta0)
+        assert inst == make_instance(3, 5)
+        assert type(inst.n) is int and type(inst.N) is int and type(inst.y) is int
+
+    @pytest.mark.parametrize("n", [0, 31, -1, True, 3.0, "3"])
+    def test_a_hand_built_instance_rejects_its_qubit_count(self, n):
+        with pytest.raises(ValueError, match=r"qubit count must be an integer in \[1, 30\]"):
+            SearchInstance(n=n, N=8, y=0, theta0=make_instance(3).theta0)
+
+    @pytest.mark.parametrize("N", [4, 9, 16, "8", None])
+    def test_a_hand_built_instance_rejects_its_size(self, N):
+        with pytest.raises(ValueError, match=r"N must be 2\*\*n = 8"):
+            SearchInstance(n=3, N=N, y=0, theta0=make_instance(3).theta0)
+
+    @pytest.mark.parametrize("theta0", [math.asin(8**-0.5), make_instance(4).theta0, math.nan, 0.0, "0.36"])
+    def test_a_hand_built_instance_rejects_its_angle(self, theta0):
+        # asin(8**-0.5) is one ulp off asin(1/sqrt(8)), the angle make_instance takes
+        with pytest.raises(ValueError, match="theta0 must be asin"):
+            SearchInstance(n=3, N=8, y=0, theta0=theta0)
+
     def test_target_defaults_to_last_index(self):
         assert make_instance(4).y == 15
 
@@ -429,17 +450,12 @@ class TestRejectedStep:
             apply_grover_step(x, inst)
         assert np.array(owner).tobytes() == before
 
-    @pytest.mark.parametrize("y", [9, 1 << 16])
+    @pytest.mark.parametrize("y", [-1, 8, 9, 1 << 16])
     def test_a_target_outside_the_vector(self, y):
-        # a hand-built instance bypasses make_instance's range check.  Target
-        # 9 falls in the one 2**16-amplitude chunk that the sums read; 2**16
-        # falls past it, so only the read of the target entry catches it
-        inst = SearchInstance(n=3, N=8, y=y, theta0=math.asin(8**-0.5))
-        v = closed_form_state(make_instance(3, 5), 1)
-        before = v.tobytes()
-        with pytest.raises(IndexError):
-            apply_grover_step(v, inst)
-        assert v.tobytes() == before
+        # no step can be handed such a target: the instance refuses it.  A
+        # target of -1 used to skip the flip and then write v[-1]
+        with pytest.raises(ValueError, match=r"target index must be an integer in \[0, 7\]"):
+            SearchInstance(n=3, N=8, y=y, theta0=make_instance(3).theta0)
 
 
 class TestSimulateStatevector:
