@@ -37,9 +37,11 @@ def pseudo_queries(instance: SearchInstance, epsilon, include_test_query: bool =
     windings for n = 1..24 at fixed and running-minimum purities).
     ``epsilon`` is one purity for every k or an array of one purity per k in
     that range.  With ``include_test_query`` False the one outcome-testing
-    evaluation is dropped from the count (the optimum k is unchanged).
-    eps = 0 is allowed (pure guessing at p = 1/N).
+    evaluation is dropped from the count (the optimum k is unchanged); the
+    flag must be a ``bool`` or ``np.bool_``.  eps = 0 is allowed (pure guessing at p = 1/N).
     """
+    if not isinstance(include_test_query, (bool, np.bool_)):
+        raise ValueError(f"include_test_query must be a bool, got {include_test_query!r}")
     k = np.arange(instance.completion_step + 1)
     if np.ndim(epsilon) and np.shape(epsilon) != k.shape:
         raise ValueError(f"expected {k.size} purities, one per k = 0..{k[-1]}, got {np.size(epsilon)}")

@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,43 +35,39 @@ _BLOCK = 16 * _CHUNK
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """A search problem: find the marked index y among N = 2**n items.
+    """A search problem: find the marked index y among N = 2**n items, built from ``n`` and ``y`` alone.
 
     Attributes
     ----------
     n : int
-        Number of qubits.
+        Number of qubits, an integer in [1, 30] of any type but ``bool``.
     N : int
-        Search-space size, exactly 2**n.
+        Search-space size 2**n, derived.
     y : int
-        Marked (target) basis-state index, 0 <= y < N.
+        Marked (target) basis-state index, 0 <= y < N; ``None`` (the
+        default) means the last index N - 1.
     theta0 : float
-        Base rotation angle in radians, sin(theta0) = 1/sqrt(N).
+        Base rotation angle in radians, sin(theta0) = 1/sqrt(N), derived.
     """
 
     n: int
-    N: int
-    y: int
-    theta0: float
+    N: int = field(init=False)
+    y: int | None = None
+    theta0: float = field(init=False)
 
     def __post_init__(self):
-        """Hold every instance, hand-built ones too, to the rules of :func:`make_instance`.
+        """Check ``n`` and ``y``, store them as plain ints and derive ``N`` and ``theta0``.
 
         The step and the closed forms index and rotate by these fields
         without checking them again.
         """
         n = _bounded_int(self.n, 1, MAX_INSTANCE_QUBITS, "qubit count")
         N = 1 << n
-        if self.N != N:
-            raise ValueError(f"N must be 2**n = {N}, got {self.N!r}")
-        y = _bounded_int(self.y, 0, N - 1, "target index")
-        theta0 = math.asin(1.0 / math.sqrt(N))
-        if self.theta0 != theta0:
-            raise ValueError(f"theta0 must be asin(1/sqrt(N)) = {theta0!r}, got {self.theta0!r}")
-        # plain ints, whatever integer type was given
+        y = N - 1 if self.y is None else _bounded_int(self.y, 0, N - 1, "target index")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "theta0", math.asin(1.0 / math.sqrt(N)))
 
     @property
     def completion_step(self) -> int:
@@ -133,19 +129,11 @@ def _check_unit_interval(x, what: str, slack: float = 0.0):
 
 
 def make_instance(n: int, y: int | None = None) -> SearchInstance:
-    """Validate (n, y) and build a :class:`SearchInstance`.
+    """``SearchInstance(n, y)``: n qubits in [1, 30], target y in [0, 2**n), by default 2**n - 1.
 
-    Any integer type is accepted (``bool`` is not); ``y`` defaults to the
-    last index 2**n - 1.
-
-    Raises
-    ------
-    ValueError
-        If n is outside [1, 30] or y outside [0, 2**n).
+    Any integer type is accepted (``bool`` is not); anything else raises ``ValueError``.
     """
-    n = _bounded_int(n, 1, MAX_INSTANCE_QUBITS, "qubit count")
-    N = 1 << n
-    return SearchInstance(n=n, N=N, y=N - 1 if y is None else y, theta0=math.asin(1.0 / math.sqrt(N)))
+    return SearchInstance(n, y)
 
 
 class _Angles:

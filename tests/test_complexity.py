@@ -115,6 +115,11 @@ class TestPseudoQueries:
         assert without[0] == with_test[0]
         assert without[1] == pytest.approx(with_test[1] - 1.0, abs=1e-12)
 
+    def test_a_numpy_bool_is_a_test_query_flag(self):
+        inst = make_instance(2, 3)
+        assert pseudo_queries(inst, 1.0, np.bool_(False)) == pseudo_queries(inst, 1.0, False)
+        assert pseudo_queries(inst, 1.0, np.bool_(True)) == pseudo_queries(inst, 1.0, True)
+
 
 class TestMaxSeparableEpsilon:
     def test_four_items(self):
@@ -169,6 +174,15 @@ class TestTable:
         row = table1(2, 2, include_test_query=False)[0]
         assert row.n_pseudo_min == pytest.approx(1.0, abs=1e-9)
         assert row.n_class / row.n_pseudo_min == pytest.approx(2.25, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", ["false", None, 0, 1, np.array([True, False])])
+    def test_rejects_a_test_query_flag_that_is_not_a_bool(self, flag):
+        # "false" is truthy and used to count the test query
+        message = r"^include_test_query must be a bool, got "
+        with pytest.raises(ValueError, match=message):
+            table1(2, 2, flag)
+        with pytest.raises(ValueError, match=message):
+            pseudo_queries(make_instance(2, 3), 1.0, flag)
 
     @pytest.mark.parametrize("span", [(0, 4), (5, 2), (1, 31), (1.5, 3), (1, 2.0), (True, 2), (1, True)])
     def test_rejects_bad_ranges(self, span):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -77,25 +80,38 @@ class TestMakeInstance:
             make_instance(n, y)
 
     def test_a_hand_built_instance_is_a_made_one(self):
-        inst = SearchInstance(n=np.int64(3), N=np.uint8(8), y=np.int16(5), theta0=make_instance(3).theta0)
+        inst = SearchInstance(n=np.int64(3), y=np.int16(5))
         assert inst == make_instance(3, 5)
         assert type(inst.n) is int and type(inst.N) is int and type(inst.y) is int
 
     @pytest.mark.parametrize("n", [0, 31, -1, True, 3.0, "3"])
     def test_a_hand_built_instance_rejects_its_qubit_count(self, n):
         with pytest.raises(ValueError, match=r"qubit count must be an integer in \[1, 30\]"):
-            SearchInstance(n=n, N=8, y=0, theta0=make_instance(3).theta0)
+            SearchInstance(n=n, y=0)
 
-    @pytest.mark.parametrize("N", [4, 9, 16, "8", None])
-    def test_a_hand_built_instance_rejects_its_size(self, N):
-        with pytest.raises(ValueError, match=r"N must be 2\*\*n = 8"):
-            SearchInstance(n=3, N=N, y=0, theta0=make_instance(3).theta0)
+    def test_size_and_angle_are_derived_not_given(self):
+        with pytest.raises(TypeError):
+            SearchInstance(n=3, N=8, y=0, theta0=make_instance(3).theta0)
+        assert repr(make_instance(3, 5)) == "SearchInstance(n=3, N=8, y=5, theta0=0.3613671239067078)"
+        for n in range(1, 31):
+            inst = make_instance(n)
+            assert inst.N == 1 << n
+            assert inst.theta0 == math.asin(1 / math.sqrt(inst.N))
 
-    @pytest.mark.parametrize("theta0", [math.asin(8**-0.5), make_instance(4).theta0, math.nan, 0.0, "0.36"])
-    def test_a_hand_built_instance_rejects_its_angle(self, theta0):
-        # asin(8**-0.5) is one ulp off asin(1/sqrt(8)), the angle make_instance takes
-        with pytest.raises(ValueError, match="theta0 must be asin"):
-            SearchInstance(n=3, N=8, y=0, theta0=theta0)
+    @pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy])
+    def test_an_instance_survives_copying(self, copy_of):
+        # a process pool pickles the instances it hands its workers
+        for inst in (make_instance(1, 0), make_instance(17, 12345), make_instance(30)):
+            twin = copy_of(inst)
+            assert twin == inst and hash(twin) == hash(inst)
+            assert vars(twin) == vars(inst)
+
+    def test_a_replaced_target_is_checked_again(self):
+        inst = make_instance(3, 5)
+        assert dataclasses.replace(inst, y=2) == make_instance(3, 2)
+        assert dataclasses.replace(inst, y=np.uint8(2)) == make_instance(3, 2)
+        with pytest.raises(ValueError, match=r"target index must be an integer in \[0, 7\]"):
+            dataclasses.replace(inst, y=inst.N)
 
     def test_target_defaults_to_last_index(self):
         assert make_instance(4).y == 15
@@ -455,7 +471,7 @@ class TestRejectedStep:
         # no step can be handed such a target: the instance refuses it.  A
         # target of -1 used to skip the flip and then write v[-1]
         with pytest.raises(ValueError, match=r"target index must be an integer in \[0, 7\]"):
-            SearchInstance(n=3, N=8, y=y, theta0=make_instance(3).theta0)
+            SearchInstance(n=3, y=y)
 
 
 class TestSimulateStatevector:
