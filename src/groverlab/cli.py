@@ -11,6 +11,7 @@ identical arguments give byte-identical output on one CPU and numpy build
 """
 
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -49,6 +50,10 @@ MAX_FLUCTUATION_QUBITS = 8
 
 # An orjson exponent of one digit, which repr pads to two (2.5e-7 -> 2.5e-07).
 _ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d\b)")
+
+# Rows formatted and written at a time, so that emission memory is bounded
+# by one block whatever a command's row count.
+_ROWS_PER_WRITE = 2048
 
 
 class _InvalidArgument(click.ClickException):
@@ -93,36 +98,71 @@ def _stack(records) -> dict:
     return {name: np.concatenate(column) for name, column in parts.items()}
 
 
+def _blocks(columns: dict, fmt: str):
+    """The text of equal-length columns, one block of ``_ROWS_PER_WRITE`` rows at a time.
+
+    It yields the CSV header or the JSON opening, then each block's rows,
+    then the JSON close.  CSV joins per row, which is faster for its
+    one-character separators.  JSON is one join per block of the cells
+    interleaved with each column's fixed separator, laid out exactly as
+    ``json.dumps(records, indent=2)`` would lay out the (never empty)
+    records; every block after the first starts with the record separator.
+    Every emitted float is finite.
+    """
+    rows = len(next(iter(columns.values())))
+    keys = [f"    {json.dumps(name)}: " for name in columns]
+    separators = ["\n  },\n  {\n" + keys[0], *(",\n" + key for key in keys[1:])]
+    width = 2 * len(columns)
+    yield ",".join(columns) + "\n" if fmt == "csv" else "[\n  {\n"
+    for start in range(0, rows, _ROWS_PER_WRITE):
+        cells = [_cells(values[start : start + _ROWS_PER_WRITE]) for values in columns.values()]
+        if fmt == "csv":
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            continue
+        parts = [""] * (width * len(cells[0]))
+        for j, (separator, column) in enumerate(zip(separators, cells)):
+            parts[2 * j :: width] = [separator] * len(column)
+            parts[2 * j + 1 :: width] = column
+        if not start:
+            parts[0] = keys[0]
+        yield "".join(parts)
+    if fmt == "json":
+        yield "\n  }\n]\n"
+
+
 def _emit(columns: dict, fmt: str, output: str | None) -> None:
     """Write equal-length columns as CSV rows or a JSON list of records.
 
-    CSV joins per row, which is faster for its one-character separators.
-    JSON is one join of the cells interleaved with each column's fixed
-    separator, laid out exactly as ``json.dumps(records, indent=2)`` would
-    lay out the (never empty) records; every emitted float is finite.
+    The text is formatted and written one block of ``_ROWS_PER_WRITE`` rows
+    at a time (``_blocks``), so a command holds one block of cells, never
+    its whole output.  A failed write to stdout is one ``Error:`` line, and
+    the blocks already written stay there; a closed pipe (``EPIPE``) is left
+    to click, which exits 1 quietly.  A regular ``--output`` file is written
+    to a sibling partial file renamed onto its path, so it never holds a
+    partial output.
     """
-    cells = list(map(_cells, columns.values()))
-    if fmt == "csv":
-        text = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
-    else:
-        keys = [f"    {json.dumps(name)}: " for name in columns]
-        separators = ["\n  },\n  {\n" + keys[0], *(",\n" + key for key in keys[1:])]
-        width = 2 * len(cells)
-        parts = [""] * (width * len(cells[0]) + 2)
-        for j, (separator, column) in enumerate(zip(separators, cells)):
-            parts[1 + 2 * j : -1 : width] = [separator] * len(column)
-            parts[2 + 2 * j : -1 : width] = column
-        parts[0], parts[1], parts[-1] = "[\n  {\n", keys[0], "\n  }\n]\n"
-        text = "".join(parts)
+    blocks = _blocks(columns, fmt)
     if output is None:
-        click.get_text_stream("stdout").write(text)
+        stdout = click.get_text_stream("stdout")
+        try:
+            stdout.writelines(blocks)
+            stdout.flush()
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            # Python flushes stdout again at exit, and a second failure would
+            # print its own lines and exit 120: what is left goes to the null device.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+            raise _InvalidArgument(f"cannot write to standard output: {exc.strerror or exc}") from None
         return
     target = os.path.realpath(output)
     try:
         if os.path.exists(target) and not os.path.isfile(target):
             # A FIFO or a device node is written to, never replaced.
             with open(target, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
             return
         # A sibling of the resolved path renamed onto it: a failed write never
         # leaves a partial output, and a symlink keeps pointing at its target.
@@ -134,7 +174,7 @@ def _emit(columns: dict, fmt: str, output: str | None) -> None:
         # Only a partial file that this run created is removed.
         try:
             with fh:
-                fh.write(text)
+                fh.writelines(blocks)
             os.replace(partial, target)
         finally:
             with contextlib.suppress(FileNotFoundError):
