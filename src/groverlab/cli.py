@@ -5,7 +5,9 @@ and returns its columns, computed in one array pass; ``scan`` also returns
 a verdict line.  One wrapper, ``_report``, registers every command: it alone
 adds ``--format`` and ``--output``, turns a library ``ValueError`` into one
 ``Error:`` line and exit status 2, and emits the columns through a single
-writer.  Floats are printed in the shortest form that round-trips, so
+writer.  The group reports a command's usage error (a malformed or missing
+option, an unknown command) as the same one line, without click's usage
+text.  Floats are printed in the shortest form that round-trips, so
 identical arguments give byte-identical output on one CPU and numpy build
 (see the README).
 """
@@ -65,15 +67,13 @@ class _InvalidArgument(click.ClickException):
 def _cells(values) -> list[str]:
     """A column as CSV/JSON literals: true/false, integers, shortest-repr floats.
 
-    Every cell is ``repr``'s text.  orjson writes the same shortest digits,
-    and the same text for integers and for floats in ``repr``'s fixed-point
-    range, zero or ``1e-4 <= |x| < 1e16``.  Below ``1e-5`` it differs only
-    in an unpadded exponent (``2.5e-7``), which is padded; every other
-    float, NaN and infinities included, is formatted by ``repr``.
+    Each column is one orjson call split on commas; bools (``true``/``false``)
+    and integers are taken as they come.  orjson writes ``repr``'s shortest
+    float digits, in ``repr``'s layout for zero and ``1e-4 <= |x| < 1e16``.
+    Below ``1e-5`` it differs only in an unpadded exponent (``2.5e-7``), which
+    is padded; every other float, NaN and infinities included, is ``repr``'s.
     """
     values = np.asarray(values)
-    if values.dtype == bool:
-        return np.where(values, "true", "false").tolist()
     if not values.size:
         return []
     text = orjson.dumps(values.tolist()).decode()[1:-1]
@@ -101,33 +101,31 @@ def _stack(records) -> dict:
 def _blocks(columns: dict, fmt: str):
     """The text of equal-length columns, one block of ``_ROWS_PER_WRITE`` rows at a time.
 
-    It yields the CSV header or the JSON opening, then each block's rows,
-    then the JSON close.  CSV joins per row, which is faster for its
-    one-character separators.  JSON is one join per block of the cells
-    interleaved with each column's fixed separator, laid out exactly as
-    ``json.dumps(records, indent=2)`` would lay out the (never empty)
-    records; every block after the first starts with the record separator.
-    Every emitted float is finite.
+    Each format is data: a head, the first row's prefix, the separator before
+    each column's cell and a close.  JSON's separators lay the (never empty)
+    records out exactly as ``json.dumps(records, indent=2)`` would.  A block is
+    one join of a one-row template repeated per row, with each column's cells
+    slice-assigned between the separators and the first row's separator
+    replaced by the prefix.  Every emitted float is finite.
     """
+    if fmt == "csv":
+        head, first, close = ",".join(columns) + "\n", "", "\n"
+        separators = ["\n", *[","] * (len(columns) - 1)]
+    else:
+        keys = [f"    {json.dumps(name)}: " for name in columns]
+        head, first, close = "[\n  {\n", keys[0], "\n  }\n]\n"
+        separators = ["\n  },\n  {\n" + keys[0], *(",\n" + key for key in keys[1:])]
+    row = [part for separator in separators for part in (separator, "")]
     rows = len(next(iter(columns.values())))
-    keys = [f"    {json.dumps(name)}: " for name in columns]
-    separators = ["\n  },\n  {\n" + keys[0], *(",\n" + key for key in keys[1:])]
-    width = 2 * len(columns)
-    yield ",".join(columns) + "\n" if fmt == "csv" else "[\n  {\n"
+    yield head
     for start in range(0, rows, _ROWS_PER_WRITE):
-        cells = [_cells(values[start : start + _ROWS_PER_WRITE]) for values in columns.values()]
-        if fmt == "csv":
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
-            continue
-        parts = [""] * (width * len(cells[0]))
-        for j, (separator, column) in enumerate(zip(separators, cells)):
-            parts[2 * j :: width] = [separator] * len(column)
-            parts[2 * j + 1 :: width] = column
+        parts = row * min(_ROWS_PER_WRITE, rows - start)
+        for j, values in enumerate(columns.values()):
+            parts[2 * j + 1 :: len(row)] = _cells(values[start : start + _ROWS_PER_WRITE])
         if not start:
-            parts[0] = keys[0]
+            parts[0] = first
         yield "".join(parts)
-    if fmt == "json":
-        yield "\n  }\n]\n"
+    yield close
 
 
 def _emit(columns: dict, fmt: str, output: str | None) -> None:
@@ -191,7 +189,17 @@ def _bound_columns(instance, k: np.ndarray) -> dict:
     }
 
 
-@click.group()
+class _Group(click.Group):
+    """A group whose commands report a usage error as one ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            raise _InvalidArgument(exc.format_message()) from None
+
+
+@click.group(cls=_Group)
 def cli() -> None:
     """Quantum-search entanglement and query-complexity reports."""
 

@@ -234,6 +234,22 @@ class TestTable1Command:
         assert_one_line_error(run("table1", "--min-qubits", "5", "--max-qubits", "3"))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("trace", "--qubits", "abc"),
+        ("trace",),
+        ("bound", "--qubits", "3", "--format", "xml"),
+        ("table1", "--max-qubits", "3", "--include-final-test-query", "maybe"),
+        ("trace", "--qubits", "3", "--bogus"),
+        ("nosuch",),
+    ],
+)
+def test_usage_errors_are_one_line(args):
+    # a malformed option, a missing option or an unknown command, without click's usage lines
+    assert_one_line_error(run(*args))
+
+
 class TestTraceCommand:
     def test_schema_and_span(self):
         result = ok("trace", "--qubits", "3", "--epsilon", "0.5")
@@ -398,7 +414,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_block_edges(self, rows, fmt, tmp_path, capsys):
+    # One column alone: CSV's row separator is its only separator,
+    # and JSON's record separator carries its only key.
+    @pytest.mark.parametrize("names", [("k", "x", "flag"), ("x",)])
+    def test_block_edges(self, rows, fmt, names, tmp_path, capsys):
         i = np.arange(rows)
         columns = {
             "k": 7 * i - 3,
@@ -406,6 +425,7 @@ class TestBlocks:
             "x": np.where(i % 2, 3e-7 * (i + 1), 1e-5 + 9e-5 * i / rows),
             "flag": i % 3 == 0,
         }
+        columns = {name: columns[name] for name in names}
         records = [dict(zip(columns, row)) for row in zip(*(values.tolist() for values in columns.values()))]
         if fmt == "json":
             expected = json.dumps(records, indent=2) + "\n"
